@@ -6,6 +6,8 @@
 //     a Report value, AppendBinary serializes it into a reused buffer.
 //   - append: the fast path — AppendReport writes wire bytes straight into
 //     a reused buffer; sparse families skip-sample, zero allocations.
+//   - roam: the fast path with a value that changes every report, cycling
+//     the whole domain: memoized state is rebuilt on (nearly) every report.
 //   - ingest: a full generate→ingest round trip per op through a Stream on
 //     the tally-direct path, the end-to-end client+server cost.
 //
@@ -29,6 +31,14 @@ import (
 // reportBenchValues is the per-client working-set size: each client reports
 // values u, u+1, ... u+reportBenchValues-1 (mod k) round-robin.
 const reportBenchValues = 8
+
+// reportRoamStride drives the roam rows: client i-th report carries value
+// i·stride mod k, an odd stride that visits every value of the domain
+// before repeating. Once k exceeds a client's memo cache every report is a
+// first sight, so the row measures materializing memoized state (the
+// chained-UE PRR encoding) — the cost evolving data pays each time a user
+// changes value.
+const reportRoamStride = 37
 
 func reportBenchProtocols(b *testing.B, k int) []struct {
 	name  string
@@ -84,6 +94,19 @@ func BenchmarkReportPath(b *testing.B) {
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					buf = cl.AppendReport(buf[:0], i%reportBenchValues)
+				}
+				benchSink = buf
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+			})
+			b.Run(fmt.Sprintf("%s/k=%d/roam", tc.name, k), func(b *testing.B) {
+				cl := tc.proto.NewClient(1).(loloha.AppendReporter)
+				buf := make([]byte, 0, (k+7)/8+16)
+				for v := 0; v < k; v++ {
+					buf = cl.AppendReport(buf[:0], v)
+				}
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					buf = cl.AppendReport(buf[:0], (i*reportRoamStride)%k)
 				}
 				benchSink = buf
 				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "reports/s")

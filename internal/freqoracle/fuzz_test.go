@@ -1,14 +1,16 @@
 package freqoracle
 
 import (
+	"bytes"
 	"math"
 	"testing"
 )
 
-// Fuzz targets for the allocation-free payload readers and the LH decoder:
-// arbitrary bytes must produce either a valid value or an error — never a
-// panic, never an out-of-domain value. `go test` exercises the seed
-// corpus; `go test -fuzz` explores.
+// Fuzz targets for the allocation-free payload readers, the LH decoder and
+// the report sampler: arbitrary bytes must produce either a valid value or
+// an error — never a panic, never an out-of-domain value — and the
+// sampler's two paths must agree. `go test` exercises the seed corpus;
+// `go test -fuzz` explores.
 
 func FuzzDecodeLHReport(f *testing.F) {
 	f.Add([]byte{}, 2)
@@ -95,6 +97,49 @@ func FuzzGRRParams(f *testing.F) {
 		}
 		if math.IsNaN(p.P) || math.IsNaN(p.Q) || !p.Valid() {
 			t.Fatalf("GRRParams(%v, %d) accepted unusable params %+v", eps, k, p)
+		}
+	})
+}
+
+// FuzzReportSamplerParity: for any domain size, calibration, round anchor
+// and "one" mask, the word-parallel sampler and the per-position reference
+// loop emit the same payload, and no bit at or beyond k is ever set.
+func FuzzReportSamplerParity(f *testing.F) {
+	f.Add(1024, 0.765, 0.235, uint64(1), []byte{0xA5, 0x0F})
+	f.Add(65, 0.5, 0.005, uint64(7), []byte{0xFF})
+	f.Add(1, 1.0, 0.0, uint64(0), []byte{})
+	f.Fuzz(func(t *testing.T, kRaw int, p, q float64, rb uint64, maskBytes []byte) {
+		k := kRaw%2048 + 1
+		if k < 1 {
+			k += 2048
+		}
+		s, err := NewReportSampler(k, p, q)
+		if err != nil {
+			return
+		}
+		// Spread the fuzzed bytes over the mask, cycling, then clear the
+		// bits past k as the contract requires.
+		var ones []uint64
+		if len(maskBytes) > 0 {
+			ones = make([]uint64, MaskWords(k))
+			for i := range ones {
+				for b := 0; b < 8; b++ {
+					ones[i] |= uint64(maskBytes[(i*8+b)%len(maskBytes)]) << (8 * b)
+				}
+			}
+			if k%64 != 0 {
+				ones[len(ones)-1] &= 1<<(uint(k)%64) - 1
+			}
+		}
+		ref := s
+		ref.Reference = true
+		got := s.AppendReport(nil, rb, ones)
+		want := ref.AppendReport(nil, rb, ones)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("k=%d p=%v q=%v rb=%d: word path %x != reference %x", k, p, q, rb, got, want)
+		}
+		if err := CheckUEPayload(got, k); err != nil {
+			t.Fatalf("k=%d: %v", k, err)
 		}
 	})
 }

@@ -22,48 +22,59 @@ var samplerGrid = []struct{ p, q float64 }{
 	{0.02, 0.02}, // p == q: ones behave like zeros
 }
 
-// onesPatterns returns representative "one" sets for domain size k: empty,
-// singleton at the boundaries, and a spread multi-one set.
-func onesPatterns(k int) [][]int32 {
-	// The sampler contract wants ones sorted ascending and distinct, so
-	// dedupe the candidates (they collide for tiny k).
-	dedupe := func(in []int32) []int32 {
-		var out []int32
-		for _, v := range in {
-			if len(out) == 0 || out[len(out)-1] != v {
-				out = append(out, v)
-			}
-		}
-		return out
+// maskOf packs a list of "one" positions into the sampler's mask layout.
+func maskOf(k int, ones ...int) []uint64 {
+	m := make([]uint64, MaskWords(k))
+	for _, i := range ones {
+		m[i>>6] |= 1 << (uint(i) & 63)
 	}
-	return [][]int32{
-		nil,
-		{0},
-		{int32(k) - 1},
-		{int32(k) / 2},
-		dedupe([]int32{0, int32(k) / 3, int32(k) / 2, int32(k) - 1}),
-	}
+	return m
 }
 
-// TestReportSamplerPathsBitIdentical is the parity gate of the sparse
-// refactor: the sparse walk and the dense reference loop must produce
-// byte-identical payloads for every calibration, domain size, "one"
-// pattern and round anchor.
+// onesPatterns returns representative "one" masks for domain size k:
+// none, singletons at the boundaries, a spread multi-one set, and random
+// masks at the densities memoized PRR encodings have (every word
+// boundary and ragged tail gets populated bits).
+func onesPatterns(k int) [][]uint64 {
+	out := [][]uint64{
+		nil,
+		maskOf(k, 0),
+		maskOf(k, k-1),
+		maskOf(k, k/2),
+		maskOf(k, 0, k/3, k/2, k-1),
+	}
+	r := randsrc.NewSeeded(uint64(k))
+	for _, density := range []float64{0.12, 0.27, 0.5, 1} {
+		var ones []int
+		for i := 0; i < k; i++ {
+			if r.Bernoulli(density) {
+				ones = append(ones, i)
+			}
+		}
+		out = append(out, maskOf(k, ones...))
+	}
+	return out
+}
+
+// TestReportSamplerPathsBitIdentical is the parity gate of the
+// word-parallel sampler: it and the per-position reference loop must
+// produce byte-identical payloads for every calibration, domain size
+// (word-aligned or ragged), "one" mask and round anchor.
 func TestReportSamplerPathsBitIdentical(t *testing.T) {
-	for _, k := range []int{1, 7, 16, 64, 1024} {
+	for _, k := range []int{1, 7, 16, 63, 64, 65, 127, 1000, 1024} {
 		for _, pq := range samplerGrid {
 			s, err := NewReportSampler(k, pq.p, pq.q)
 			if err != nil {
 				t.Fatal(err)
 			}
+			ref := s
+			ref.Reference = true
 			for _, ones := range onesPatterns(k) {
-				for rb := uint64(0); rb < 200; rb++ {
-					sparse, dense := s, s
-					sparse.Sparse, dense.Sparse = true, false
-					got := sparse.AppendReport(nil, rb*0x9E3779B9+1, ones)
-					want := dense.AppendReport(nil, rb*0x9E3779B9+1, ones)
+				for rb := uint64(0); rb < 100; rb++ {
+					got := s.AppendReport(nil, rb*0x9E3779B9+1, ones)
+					want := ref.AppendReport(nil, rb*0x9E3779B9+1, ones)
 					if !bytes.Equal(got, want) {
-						t.Fatalf("k=%d p=%v q=%v ones=%v rb=%d: sparse %x != dense %x",
+						t.Fatalf("k=%d p=%v q=%v ones=%x rb=%d: word path %x != reference %x",
 							k, pq.p, pq.q, ones, rb, got, want)
 					}
 				}
@@ -95,13 +106,13 @@ func TestReportSamplerRejectsBadParams(t *testing.T) {
 func TestReportSamplerMarginals(t *testing.T) {
 	const k, rounds = 64, 60000
 	for _, pq := range []struct{ p, q float64 }{{0.5, 0.119}, {0.803, 0.197}} {
-		for _, sparse := range []bool{false, true} {
+		for _, reference := range []bool{false, true} {
 			s, err := NewReportSampler(k, pq.p, pq.q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			s.Sparse = sparse
-			ones := []int32{5, 40}
+			s.Reference = reference
+			ones := maskOf(k, 5, 40)
 			counts := make([]int, k)
 			buf := make([]byte, 0, s.PayloadBytes())
 			r := randsrc.NewSeeded(7)
@@ -121,8 +132,8 @@ func TestReportSamplerMarginals(t *testing.T) {
 				got := float64(counts[i]) / rounds
 				// 6-sigma binomial tolerance at the larger rate.
 				if math.Abs(got-want) > 0.013 {
-					t.Errorf("sparse=%v p=%v q=%v: position %d fires at %v, want %v",
-						sparse, pq.p, pq.q, i, got, want)
+					t.Errorf("reference=%v p=%v q=%v: position %d fires at %v, want %v",
+						reference, pq.p, pq.q, i, got, want)
 				}
 			}
 		}
@@ -140,7 +151,6 @@ func TestReportSamplerFlipCountsBinomial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.Sparse = true
 
 	observed := make([]int, k+1)
 	buf := make([]byte, 0, s.PayloadBytes())
@@ -214,10 +224,68 @@ func TestUEPrivatizeMatchesSamplerContract(t *testing.T) {
 		r1, r2 := randsrc.NewSeeded(seed), randsrc.NewSeeded(seed)
 		v := int(seed) % k
 		got := AppendUEReport(nil, m.Privatize(v, r1))
-		ones := [1]int32{int32(v)}
-		want := s.AppendReport(nil, r2.Uint64(), ones[:])
+		want := s.AppendReport(nil, r2.Uint64(), maskOf(k, v))
 		if !bytes.Equal(got, want) {
 			t.Fatalf("seed %d: Privatize(%d) = %x, sampler contract %x", seed, v, got, want)
+		}
+	}
+}
+
+// BenchmarkReportSampler measures one sampler round at k = 1024 for the
+// chained-UE IRR calibrations, with a "one" mask at the density of the
+// matching memoized PRR encoding.
+func BenchmarkReportSampler(b *testing.B) {
+	const k = 1024
+	for _, c := range []struct {
+		name       string
+		p, q, ones float64
+	}{
+		{"RAPPOR", 0.765, 0.235, 0.269},
+		{"L-OSUE", 0.803, 0.197, 0.119},
+		{"L-OSUE-e4", 0.895, 0.105, 0.018},
+	} {
+		s, err := NewReportSampler(k, c.p, c.q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		r := randsrc.NewSeeded(1)
+		var ones []int
+		for i := 0; i < k; i++ {
+			if r.Bernoulli(c.ones) {
+				ones = append(ones, i)
+			}
+		}
+		mask := maskOf(k, ones...)
+		b.Run(c.name, func(b *testing.B) {
+			buf := make([]byte, 0, s.PayloadBytes())
+			for i := 0; i < b.N; i++ {
+				buf = s.AppendReport(buf[:0], uint64(i), mask)
+			}
+		})
+	}
+}
+
+// TestReportSamplerZeroAllocs: with capacity in dst, a round allocates
+// nothing on either a word-aligned or a ragged domain (the ragged one
+// routes its last word through the on-stack tail buffer).
+func TestReportSamplerZeroAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector instrumentation allocates; counts are only meaningful without -race")
+	}
+	for _, k := range []int{100, 1024} {
+		s, err := NewReportSampler(k, 0.765, 0.235)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mask := maskOf(k, 0, 3, k/2, k-1)
+		buf := make([]byte, 0, s.PayloadBytes())
+		rb := uint64(0)
+		avg := testing.AllocsPerRun(200, func() {
+			buf = s.AppendReport(buf[:0], rb, mask)
+			rb++
+		})
+		if avg != 0 {
+			t.Errorf("k=%d: AppendReport allocates %.2f times per round, want 0", k, avg)
 		}
 	}
 }

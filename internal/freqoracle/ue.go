@@ -67,15 +67,16 @@ func (m *UE) Eps() float64 { return m.eps }
 func (m *UE) Params() Params { return m.params }
 
 // Privatize one-hot encodes v and randomizes every bit: one round of the
-// canonical ReportSampler contract with ones = {v}, skip-sampled when q is
-// sparse (OUE at moderate ε). It draws a single anchor word from r per
-// call, so report cost no longer scales the caller's stream by k.
+// canonical ReportSampler contract with ones = {v}, skip-sampled. It draws
+// a single anchor word from r per call, so report cost no longer scales the
+// caller's stream by k.
 func (m *UE) Privatize(v int, r *randsrc.Rand) *bitset.Bitset {
 	if v < 0 || v >= m.k {
 		panic(fmt.Sprintf("freqoracle: UE input %d outside [0,%d)", v, m.k))
 	}
-	ones := [1]int32{int32(v)}
-	payload := m.sampler.AppendReport(make([]byte, 0, UEPayloadBytes(m.k)), r.Uint64(), ones[:])
+	ones := make([]uint64, MaskWords(m.k))
+	ones[v>>6] = 1 << (uint(v) & 63)
+	payload := m.sampler.AppendReport(make([]byte, 0, UEPayloadBytes(m.k)), r.Uint64(), ones)
 	out, _, err := DecodeUEReport(payload, m.k)
 	if err != nil {
 		panic(err) // impossible: the payload is exactly one well-formed report

@@ -3,6 +3,7 @@ package longitudinal
 import (
 	"fmt"
 	"math"
+	"math/bits"
 
 	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
@@ -107,8 +108,9 @@ type ChainUE struct {
 	params       ChainParams
 	epsInf, eps1 float64
 	// sampler draws the IRR layer: every bit flips with q2, memoized
-	// PRR-one bits with p2 — skip-sampled when q2 is sparse (see
-	// freqoracle.ReportSampler for the canonical randomness contract).
+	// PRR-one bits with p2 — skip-sampled, with the PRR mask as its
+	// upgraded positions (see freqoracle.ReportSampler for the canonical
+	// randomness contract).
 	sampler freqoracle.ReportSampler
 }
 
@@ -209,82 +211,82 @@ func (c *ChainUE) NewClient(seed uint64) Client {
 		proto:  c,
 		seed:   seed,
 		rng:    randsrc.NewSeeded(randsrc.Derive(seed, 0xC11E57)),
-		bases:  make(map[int]uint64),
-		ones:   make(map[int][]int32),
+		nw:     freqoracle.MaskWords(c.k),
+		slots:  make(map[int]int),
 		p1T:    randsrc.BernoulliThreshold(c.params.P1),
 		q1T:    randsrc.BernoulliThreshold(c.params.Q1),
 		ledger: privacy.NewLedger(c.epsInf, c.k),
 	}
 }
 
-// onesCacheCap bounds the per-client cache of memoized PRR one-lists.
-// Evicting is always safe: a one-list is a pure PRF of (seed, value) and
+// prrCacheCap bounds the number of memoized PRR masks a client keeps.
+// Evicting is always safe: a mask is a pure PRF of (seed, value) and
 // recomputes bit-identically, so the cap trades recompute time for memory
 // on clients that roam across many distinct values.
-const onesCacheCap = 256
+const prrCacheCap = 256
 
 type chainUEClient struct {
 	proto *ChainUE
 	seed  uint64
 	rng   *randsrc.Rand
-	// bases caches the PRF stream anchor of each memoized value, so the
-	// per-bit cost of the PRR step is a single mix round.
-	bases map[int]uint64
-	// ones caches, per memoized value, the sorted positions whose PRR bit
-	// is one — the sparse form of the memoized encoding, the only thing
-	// the IRR sampler needs.
-	ones     map[int][]int32
+	// masks holds the memoized PRR encodings of recently reported values,
+	// nw words each: bit i of a value's mask is its PRR bit i, the packed
+	// form the IRR sampler consumes directly. slots maps a value to the
+	// index of its mask.
+	masks    []uint64
+	nw       int
+	slots    map[int]int
 	p1T, q1T uint64
 	wire     []byte // Report() scratch: one payload, reused across rounds
 	ledger   *privacy.Ledger
 }
 
-// baseOf returns the PRF stream anchor for the memoized encoding of w.
+// maskOf returns the memoized PRR mask of value v, materializing it on
+// first use or after eviction.
 //
 //loloha:noalloc
-func (cl *chainUEClient) baseOf(w int) uint64 {
-	if b, ok := cl.bases[w]; ok {
-		return b
+func (cl *chainUEClient) maskOf(v int) []uint64 {
+	s, ok := cl.slots[v]
+	if !ok {
+		s = cl.materialize(v)
 	}
-	b := randsrc.Derive(cl.seed, uint64(w))
-	cl.bases[w] = b
-	return b
+	off := s * cl.nw
+	return cl.masks[off : off+cl.nw : off+cl.nw]
 }
 
-// prrBit returns the memoized PRR bit i of the unary encoding of value w:
-// a PRF draw, identical every time the same (w, i) pair recurs.
+// materialize charges the ledger for v (panicking on an out-of-range
+// value), draws its PRR encoding into a new mask slot and returns the
+// slot. Bit i is the PRF draw StreamWord(Derive(seed, v), i) under the q1
+// threshold — p1 at i = v — packed 64 positions per store without a
+// data-dependent branch. A full cache is emptied and its storage reused.
 //
 //loloha:noalloc
-func (cl *chainUEClient) prrBit(w, i int) bool {
-	t := cl.q1T
-	if i == w {
-		t = cl.p1T
+func (cl *chainUEClient) materialize(v int) int {
+	cl.Charge(v)
+	if len(cl.slots) >= prrCacheCap {
+		clear(cl.slots)
+		cl.masks = cl.masks[:0]
 	}
-	return randsrc.BernoulliWord(randsrc.StreamWord(cl.baseOf(w), i), t)
-}
-
-// onesOf returns the memoized PRR one-positions of value w, cached after
-// the first materialization (one O(k) PRF scan per distinct value, against
-// one per *round* on the old dense path).
-//
-//loloha:noalloc
-func (cl *chainUEClient) onesOf(w int) []int32 {
-	if o, ok := cl.ones[w]; ok {
-		return o
-	}
-	k := cl.proto.k
-	//loloha:alloc-ok cold: one one-list materialization per distinct value, capped by onesCacheCap
-	o := make([]int32, 0, 8+k/8)
-	for i := 0; i < k; i++ {
-		if cl.prrBit(w, i) {
-			o = append(o, int32(i))
+	s := len(cl.masks) / cl.nw
+	//loloha:alloc-ok cold: one mask per distinct value, storage capped by prrCacheCap
+	cl.masks = append(cl.masks, make([]uint64, cl.nw)...)
+	m := cl.masks[s*cl.nw : (s+1)*cl.nw]
+	base := randsrc.Derive(cl.seed, uint64(v))
+	k, q1T := cl.proto.k, cl.q1T
+	for wi := range m {
+		lo := wi * 64
+		n := min(64, k-lo)
+		var w uint64
+		for b := range n {
+			_, one := bits.Sub64(randsrc.StreamWord(base, lo+b), q1T, 0)
+			w |= one << (uint(b) & 63)
 		}
+		m[wi] = w
 	}
-	if len(cl.ones) >= onesCacheCap {
-		clear(cl.ones)
-	}
-	cl.ones[w] = o
-	return o
+	_, hot := bits.Sub64(randsrc.StreamWord(base, v), cl.p1T, 0)
+	m[v>>6] = m[v>>6]&^(1<<(uint(v)&63)) | hot<<(uint(v)&63)
+	cl.slots[v] = s
+	return s
 }
 
 // Report implements Client: one-hot encode, PRR (memoized), then IRR. It
@@ -300,14 +302,15 @@ func (cl *chainUEClient) Report(v int) Report {
 }
 
 // AppendReport implements AppendReporter: one sampler round anchored at
-// the next word of the client's stream, with the memoized one-list as the
-// upgraded positions. Steady state (warm caches, capacity in dst) performs
-// zero allocations.
+// the next word of the client's stream, with the memoized PRR mask as the
+// upgraded positions. The ledger is charged when the mask materializes: a
+// cached mask means v was charged already. Steady state (warm caches,
+// capacity in dst) performs zero allocations.
 //
 //loloha:noalloc
 func (cl *chainUEClient) AppendReport(dst []byte, v int) []byte {
-	cl.Charge(v)
-	return cl.proto.sampler.AppendReport(dst, cl.rng.Uint64(), cl.onesOf(v))
+	mask := cl.maskOf(v)
+	return cl.proto.sampler.AppendReport(dst, cl.rng.Uint64(), mask)
 }
 
 // WireRegistration implements AppendReporter: chained UE needs no

@@ -22,7 +22,7 @@ type DBitFlipPM struct {
 	z       domain.Bucketizer
 	// sampler draws the memoized d-bit response for one input bucket:
 	// each sampled slot flips with q, the slot holding the input bucket
-	// (if any) with p — skip-sampled when q is sparse. Anchored at the
+	// (if any) with p — skip-sampled. Anchored at the
 	// bucket's PRF base, the draw is a pure function of (seed, bucket),
 	// which is exactly the memoization contract.
 	sampler freqoracle.ReportSampler
@@ -162,12 +162,12 @@ func (cl *dBitClient) packedOf(inputBucket int) []byte {
 	if m, ok := cl.memo[inputBucket]; ok {
 		return m
 	}
-	var ones []int32
-	var hit [1]int32
+	var ones []uint64
 	for l, j := range cl.sampled {
 		if j == inputBucket {
-			hit[0] = int32(l)
-			ones = hit[:]
+			//loloha:alloc-ok cold: at most b memoized responses ever materialize per client
+			ones = make([]uint64, freqoracle.MaskWords(cl.proto.d))
+			ones[l>>6] = 1 << (uint(l) & 63)
 			break
 		}
 	}

@@ -8,13 +8,14 @@ import (
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
-// sparseParityKs is the acceptance grid of the sparse refactor: small,
-// medium and large domains.
+// sparseParityKs is the acceptance grid of the sampler parity tests:
+// small, medium and large domains.
 var sparseParityKs = []int{16, 64, 1024}
 
-// forceSamplerPath rebuilds a protocol twice with the IRR/memo sampler
-// pinned to each path. Both protocols are otherwise identical, so any
-// output divergence is a dense/sparse parity break.
+// chainUEPair builds a protocol twice, one copy with the IRR sampler
+// pinned to the per-position reference loop ("dense") and one on the
+// word-parallel production path ("sparse"). Both protocols are otherwise
+// identical, so any output divergence is a parity break.
 func chainUEPair(t *testing.T, mk func() (*ChainUE, error)) (dense, sparse *ChainUE) {
 	t.Helper()
 	d, err := mk()
@@ -25,9 +26,95 @@ func chainUEPair(t *testing.T, mk func() (*ChainUE, error)) (dense, sparse *Chai
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.sampler.Sparse = false
-	s.sampler.Sparse = true
+	d.sampler.Reference = true
 	return d, s
+}
+
+// prrBit is the per-bit definition of the memoized PRR encoding: bit i of
+// value w is one PRF word under the p1 threshold at i = w and the q1
+// threshold elsewhere. materialize packs exactly these bits.
+func (cl *chainUEClient) prrBit(w, i int) bool {
+	t := cl.q1T
+	if i == w {
+		t = cl.p1T
+	}
+	return randsrc.BernoulliWord(randsrc.StreamWord(randsrc.Derive(cl.seed, uint64(w)), i), t)
+}
+
+// TestChainUEPRRMaskMatchesPerBitDefinition: the word-parallel PRR mask
+// must hold, bit for bit, the per-position PRF draws it packs — across
+// word boundaries, ragged tails, and the one-hot position in every word.
+func TestChainUEPRRMaskMatchesPerBitDefinition(t *testing.T) {
+	for _, k := range []int{2, 63, 64, 65, 100, 1024} {
+		p, err := NewRAPPOR(k, 2, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := uint64(0); seed < 4; seed++ {
+			cl := p.NewClient(seed).(*chainUEClient)
+			for _, w := range []int{0, 1, k / 2, k - 2, k - 1} {
+				mask := cl.maskOf(w)
+				if len(mask) != (k+63)/64 {
+					t.Fatalf("k=%d: mask has %d words", k, len(mask))
+				}
+				for i := 0; i < len(mask)*64; i++ {
+					got := mask[i>>6]>>(uint(i)&63)&1 == 1
+					want := i < k && cl.prrBit(w, i)
+					if got != want {
+						t.Fatalf("k=%d seed=%d value=%d: mask bit %d = %v, PRF says %v", k, seed, w, i, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestChainUEClientStateBounded: a client that roams over every value of
+// a large domain keeps at most prrCacheCap packed masks — k/64 words
+// each, not a position list — and still reports bit-identically to a
+// fresh client and charges its ledger once per distinct value.
+func TestChainUEClientStateBounded(t *testing.T) {
+	const k = 1024
+	p, err := NewRAPPOR(k, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	roamer := p.NewClient(5).(*chainUEClient)
+	var buf []byte
+	for v := 0; v < k; v++ {
+		buf = roamer.AppendReport(buf[:0], v)
+		if len(roamer.slots) > prrCacheCap {
+			t.Fatalf("after %d values the cache holds %d masks, cap %d", v+1, len(roamer.slots), prrCacheCap)
+		}
+		if len(roamer.masks) != len(roamer.slots)*roamer.nw {
+			t.Fatalf("after %d values: %d mask words for %d slots", v+1, len(roamer.masks), len(roamer.slots))
+		}
+	}
+	if got, limit := cap(roamer.masks), 2*prrCacheCap*roamer.nw; got > limit {
+		t.Errorf("mask storage capacity %d words, want <= %d", got, limit)
+	}
+	if u := roamer.ledger.Units(); u != k {
+		t.Errorf("ledger holds %d units after %d distinct values", u, k)
+	}
+	// Revisit evicted and cached values: the bytes are those of a client
+	// that made as many reports (so its stream is at the same word) but
+	// never evicted anything.
+	fresh := p.NewClient(5).(*chainUEClient)
+	var want []byte
+	for v := 0; v < k; v++ {
+		want = fresh.AppendReport(want[:0], 0)
+	}
+	for i := 0; i < 64; i++ {
+		v := (i * 97) % k
+		buf = roamer.AppendReport(buf[:0], v)
+		want = fresh.AppendReport(want[:0], v)
+		if !bytes.Equal(buf, want) {
+			t.Fatalf("revisit %d (value %d): %x != %x", i, v, buf, want)
+		}
+	}
+	if u := roamer.ledger.Units(); u != k {
+		t.Errorf("revisits changed the ledger: %d units", u)
+	}
 }
 
 func dbitPair(t *testing.T, k, b, d int, epsInf float64) (dense, sparse *DBitFlipPM) {
@@ -40,8 +127,7 @@ func dbitPair(t *testing.T, k, b, d int, epsInf float64) (dense, sparse *DBitFli
 		return p
 	}
 	dn, sp := mk(), mk()
-	dn.sampler.Sparse = false
-	sp.sampler.Sparse = true
+	dn.sampler.Reference = true
 	return dn, sp
 }
 

@@ -132,6 +132,7 @@ var trustTable = []trustRule{
 	{"internal/freqoracle", "GRR", "PerturbWord"},
 	{"internal/freqoracle", "GRR", "Params"},
 	{"internal/freqoracle", "GRR", "K"},
+	{"internal/freqoracle", "", "MaskWords"},
 	{"internal/freqoracle", "ReportSampler", "AppendReport"},
 	{"internal/freqoracle", "ReportSampler", "K"},
 	{"internal/freqoracle", "ReportSampler", "PayloadBytes"},

@@ -16,8 +16,7 @@ import (
 // cohortSeed mirrors how WithCohort seeds client u from the stream seed.
 func cohortSeed(seed, u uint64) uint64 { return randsrc.Derive(seed, u) }
 
-// reportProtocols builds one protocol per family at a domain size where
-// the chained-UE sparse path is active.
+// reportProtocols builds one protocol per family at domain size k.
 func reportProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	t.Helper()
 	protos := map[string]loloha.Protocol{}
