@@ -1,12 +1,7 @@
-// Benchmarks for the Stream ingestion paths. Two axes:
-//
-//   - Entry point: per-report Ingest (one shard-lock acquisition per
-//     payload) vs IngestBatch (one lock acquisition per shard per batch).
-//   - Ingestion path: the decoder rows pin the legacy Decoder path with
-//     WithDecoder (one boxed Report allocation per payload plus batch
-//     phase buffers); the tally rows take the default tally-direct path,
-//     where payloads tally straight into the shard aggregator with zero
-//     steady-state allocations.
+// Benchmarks for the Stream ingestion paths, per entry point: per-report
+// Ingest (one shard-lock acquisition per payload) vs IngestBatch (one lock
+// acquisition per shard per batch) vs IngestColumnar. Payloads tally
+// straight into the shard aggregator with zero steady-state allocations.
 //
 // Workers ingest concurrently, the deployment the service is built for.
 // BENCH_ingest.json records the checked-in baseline.
@@ -31,75 +26,65 @@ func BenchmarkIngestPath(b *testing.B) {
 	}
 	type seeded interface{ HashSeed() uint64 }
 	for _, shards := range []int{1, 2, 4, 8} {
-		for _, tally := range []bool{false, true} {
-			proto, err := loloha.NewBiLOLOHA(k, 2, 1)
-			if err != nil {
+		proto, err := loloha.NewBiLOLOHA(k, 2, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		stream, err := loloha.NewStream(proto, loloha.WithShards(shards))
+		if err != nil {
+			b.Fatal(err)
+		}
+		userIDs := make([]int, n)
+		payloads := make([][]byte, n)
+		for u := 0; u < n; u++ {
+			cl := proto.NewClient(uint64(u))
+			if err := stream.Enroll(u, loloha.Registration{HashSeed: cl.(seeded).HashSeed()}); err != nil {
 				b.Fatal(err)
 			}
-			opts := []loloha.StreamOption{loloha.WithShards(shards)}
-			if !tally {
-				// Pin the legacy Decoder path; the default is tally-direct.
-				opts = append(opts, loloha.WithDecoder(proto.WireDecoder()))
-			}
-			stream, err := loloha.NewStream(proto, opts...)
-			if err != nil {
-				b.Fatal(err)
-			}
-			userIDs := make([]int, n)
-			payloads := make([][]byte, n)
-			for u := 0; u < n; u++ {
-				cl := proto.NewClient(uint64(u))
-				if err := stream.Enroll(u, loloha.Registration{HashSeed: cl.(seeded).HashSeed()}); err != nil {
-					b.Fatal(err)
-				}
-				userIDs[u] = u
-				payloads[u] = cl.Report(u % k).AppendBinary(nil)
-			}
-			// Each worker owns a contiguous block of users and ingests it
-			// either one report or one batch slice at a time.
-			ingestRound := func(b *testing.B, batch bool) {
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						lo, hi := w*n/workers, (w+1)*n/workers
-						if batch {
-							for ; lo < hi; lo += batchSize {
-								end := min(lo+batchSize, hi)
-								if err := stream.IngestBatch(userIDs[lo:end], payloads[lo:end]); err != nil {
-									b.Error(err)
-									return
-								}
-							}
-							return
-						}
-						for u := lo; u < hi; u++ {
-							if err := stream.Ingest(u, payloads[u]); err != nil {
+			userIDs[u] = u
+			payloads[u] = cl.Report(u % k).AppendBinary(nil)
+		}
+		// Each worker owns a contiguous block of users and ingests it
+		// either one report or one batch slice at a time.
+		ingestRound := func(b *testing.B, batch bool) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					lo, hi := w*n/workers, (w+1)*n/workers
+					if batch {
+						for ; lo < hi; lo += batchSize {
+							end := min(lo+batchSize, hi)
+							if err := stream.IngestBatch(userIDs[lo:end], payloads[lo:end]); err != nil {
 								b.Error(err)
 								return
 							}
 						}
-					}(w)
-				}
-				wg.Wait()
-				benchSink = stream.CloseRound()
-			}
-			for _, batch := range []bool{false, true} {
-				name := "per-report"
-				if batch {
-					name = "batch"
-				}
-				if tally {
-					name = "tally-" + name
-				}
-				b.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						ingestRound(b, batch)
+						return
 					}
-					b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
-				})
+					for u := lo; u < hi; u++ {
+						if err := stream.Ingest(u, payloads[u]); err != nil {
+							b.Error(err)
+							return
+						}
+					}
+				}(w)
 			}
+			wg.Wait()
+			benchSink = stream.CloseRound()
+		}
+		for _, batch := range []bool{false, true} {
+			name := "tally-per-report"
+			if batch {
+				name = "tally-batch"
+			}
+			b.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					ingestRound(b, batch)
+				}
+				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
+			})
 		}
 	}
 }

@@ -272,7 +272,7 @@ func BenchmarkCollectParallel(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				cohort, err := loloha.NewShardedCohort(proto, n, 42, shards)
+				cohort, err := loloha.NewStream(proto, loloha.WithCohort(n, 42), loloha.WithShards(shards))
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -287,11 +287,11 @@ func BenchmarkCollectParallel(b *testing.B) {
 				}
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					est, err := cohort.Collect(values)
+					res, err := cohort.Collect(values)
 					if err != nil {
 						b.Fatal(err)
 					}
-					benchSink = est
+					benchSink = res
 				}
 				b.ReportMetric(float64(n)*float64(b.N)/b.Elapsed().Seconds(), "reports/s")
 			})
@@ -314,7 +314,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			col, err := loloha.NewShardedCollection(proto, shards)
+			col, err := loloha.NewStream(proto, loloha.WithShards(shards))
 			if err != nil {
 				b.Fatal(err)
 			}

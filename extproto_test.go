@@ -1,16 +1,16 @@
-// An out-of-package protocol plugged into Stream: the decoder resolution
-// is open (WireProtocol interface + RegisterDecoder registry), so a
-// protocol defined entirely outside the library — here a noise-free
-// histogram protocol in this external test package — round-trips through
-// the wire service end to end. Before the redesign this was impossible:
-// internal/server enumerated the repository's protocol types in a closed
-// type-switch.
+// An out-of-package protocol plugged into Stream: ingestion has one open
+// contract (TallyProtocol: PayloadStride + TallyCell), so a protocol
+// defined entirely outside the library — here a noise-free histogram
+// protocol in this external test package — round-trips through the wire
+// service end to end, and one that lacks the contract is rejected at
+// construction with an error naming it.
 package loloha_test
 
 import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
@@ -18,8 +18,8 @@ import (
 
 // histBase is a trivial "protocol": clients report their value verbatim
 // (no privacy — it exists to exercise the wire plumbing, not the
-// estimators). It deliberately does NOT implement loloha.WireProtocol, so
-// decoder resolution for it must go through the registry.
+// estimators). It deliberately does NOT implement loloha.TallyProtocol,
+// so a Stream cannot ingest it.
 type histBase struct {
 	k    int
 	name string
@@ -31,26 +31,26 @@ func (p *histBase) SteadyReportBits() int { return 8 }
 
 func (p *histBase) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
 func (p *histBase) NewAggregator() loloha.Aggregator {
-	return &histAgg{k: p.k, counts: make([]int64, p.k)}
+	return &histAgg{k: p.k, Tally: loloha.Tally{Counts: make([]int64, p.k)}}
 }
 
-// histProto adds WireDecoder, making the protocol self-describing.
+// histProto adds WireTallier, making the protocol streamable.
 type histProto struct{ histBase }
 
-// WireDecoder implements loloha.WireProtocol.
-func (p *histProto) WireDecoder() loloha.Decoder { return histDecoder{k: p.k} }
+// WireTallier implements loloha.TallyProtocol.
+func (p *histProto) WireTallier() loloha.ColumnarTallier { return histTallier{k: p.k} }
 
-func newExternalProtocol(k int, selfDecoding bool) loloha.Protocol {
-	if selfDecoding {
+func newExternalProtocol(k int, tallied bool) loloha.Protocol {
+	if tallied {
 		return &histProto{histBase{k: k, name: "ext-hist"}}
 	}
-	return &histBase{k: k, name: "ext-hist-registered"}
+	return &histBase{k: k, name: "ext-hist-untallied"}
 }
 
 // Statically assert which variant satisfies the interface.
 var (
-	_ loloha.WireProtocol = (*histProto)(nil)
-	_ loloha.Protocol     = (*histBase)(nil)
+	_ loloha.TallyProtocol = (*histProto)(nil)
+	_ loloha.Protocol      = (*histBase)(nil)
 )
 
 type histClient struct{ k int }
@@ -63,36 +63,42 @@ type histReport struct{ v int }
 
 func (r histReport) AppendBinary(dst []byte) []byte { return append(dst, byte(r.v)) }
 
-type histDecoder struct{ k int }
+// histTallier tallies one-byte payloads into a histAgg.
+type histTallier struct{ k int }
 
-func (d histDecoder) Decode(payload []byte, _ loloha.Registration) (loloha.Report, error) {
-	if len(payload) != 1 {
-		return nil, fmt.Errorf("ext-hist: payload is %d bytes, want 1", len(payload))
+func (histTallier) PayloadStride() int { return 1 }
+
+func (t histTallier) TallyCell(agg loloha.Aggregator, _ int, cell []byte, _ loloha.Registration) error {
+	a, ok := agg.(*histAgg)
+	if !ok {
+		return fmt.Errorf("ext-hist: cannot tally into %T", agg)
 	}
-	v := int(payload[0])
-	if v >= d.k {
-		return nil, fmt.Errorf("ext-hist: value %d outside [0,%d)", v, d.k)
+	v := int(cell[0])
+	if v >= t.k {
+		return fmt.Errorf("ext-hist: value %d outside [0,%d)", v, t.k)
 	}
-	return histReport{v: v}, nil
+	a.Counts[v]++
+	a.N++
+	return nil
 }
 
+// histAgg embeds the library's round state, which brings the snapshot
+// contract (ExportTally/ImportTally) with it.
 type histAgg struct {
-	k      int
-	counts []int64
-	n      int
+	loloha.Tally
+	k int
 }
 
-func (a *histAgg) Add(userID int, rep loloha.Report) { a.counts[rep.(histReport).v]++; a.n++ }
+func (a *histAgg) Add(userID int, rep loloha.Report) { a.Counts[rep.(histReport).v]++; a.N++ }
 func (a *histAgg) EstimateDomain() int               { return a.k }
 func (a *histAgg) EndRound() []float64 {
+	defer a.Reset()
 	est := make([]float64, a.k)
-	if a.n > 0 {
-		for v, c := range a.counts {
-			est[v] = float64(c) / float64(a.n)
+	if a.N > 0 {
+		for v, c := range a.Counts {
+			est[v] = float64(c) / float64(a.N)
 		}
 	}
-	clear(a.counts)
-	a.n = 0
 	return est
 }
 
@@ -141,40 +147,29 @@ func TestExternalWireProtocolRoundTrip(t *testing.T) {
 	runExternalProtocol(t, newExternalProtocol(10, true))
 }
 
-func TestExternalRegisteredDecoderRoundTrip(t *testing.T) {
-	proto := newExternalProtocol(10, false)
-	// Without a registry entry the protocol is unknown...
-	if _, err := loloha.NewStream(proto); err == nil {
-		t.Fatal("unregistered external protocol accepted")
+// TestExternalProtocolWithoutTallierRejected: NewStream refuses a
+// protocol without the tally contract, and the error names the contract
+// the protocol is missing.
+func TestExternalProtocolWithoutTallierRejected(t *testing.T) {
+	_, err := loloha.NewStream(newExternalProtocol(10, false))
+	if err == nil {
+		t.Fatal("protocol without a tallier accepted")
 	}
-	// ...and with one it round-trips like any built-in.
-	loloha.RegisterDecoder(proto.Name(), func(p loloha.Protocol) (loloha.Decoder, error) {
-		return histDecoder{k: p.K()}, nil
-	})
-	defer loloha.RegisterDecoder(proto.Name(), nil)
-	runExternalProtocol(t, proto)
-}
-
-func TestExternalDecoderOptionRoundTrip(t *testing.T) {
-	// WithDecoder bypasses resolution entirely.
-	proto := newExternalProtocol(10, false)
-	runExternalProtocol(t, proto, loloha.WithDecoder(histDecoder{k: 10}))
+	if !strings.Contains(err.Error(), "TallyProtocol") {
+		t.Fatalf("error %q does not name the missing TallyProtocol contract", err)
+	}
 }
 
 func TestSpecExternalFamilyRegistry(t *testing.T) {
 	// One RegisterFamily call makes an out-of-repository protocol
-	// constructible from a declarative ProtocolSpec AND resolvable at the
-	// wire level — build and decoder resolution share the entry, with no
-	// separate RegisterDecoder step.
+	// constructible from a declarative ProtocolSpec; the built protocol
+	// carries its own tallier, so it streams like any built-in.
 	const fam = "ext-hist-family"
 	loloha.RegisterFamily(fam, loloha.FamilyInfo{
 		Doc:      "noise-free histogram (test-only)",
 		Required: []loloha.SpecField{loloha.SpecFieldK},
 		Build: func(s loloha.ProtocolSpec) (loloha.Protocol, error) {
-			return &histBase{k: s.K, name: fam}, nil
-		},
-		NewDecoder: func(p loloha.Protocol) (loloha.Decoder, error) {
-			return histDecoder{k: p.K()}, nil
+			return &histProto{histBase{k: s.K, name: fam}}, nil
 		},
 	})
 	defer loloha.RegisterFamily(fam, loloha.FamilyInfo{}) // zero info unregisters
@@ -187,7 +182,7 @@ func TestSpecExternalFamilyRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	runExternalProtocol(t, proto)
-	// histBase does not implement SpecProtocol; SpecOf reports that
+	// histProto does not implement SpecProtocol; SpecOf reports that
 	// honestly instead of inventing a description.
 	if _, ok := loloha.SpecOf(proto); ok {
 		t.Error("SpecOf invented a spec for a protocol without Spec()")

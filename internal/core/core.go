@@ -42,8 +42,9 @@ type Protocol struct {
 	cacheSupport bool
 }
 
-// Fast-path contracts (wirecontract): a regression in either interface
-// would silently degrade ingestion to the boxed Report path.
+// Wire contracts (wirecontract): without TallyProtocol no Stream can
+// ingest the protocol; without AppendReporter clients take the boxed
+// Report path.
 var (
 	_ longitudinal.SpecProtocol   = (*Protocol)(nil)
 	_ longitudinal.TallyProtocol  = (*Protocol)(nil)
@@ -308,25 +309,6 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 	return Report{HashSeed: hashSeed, X: x, g: g}, rest, nil
 }
 
-// ReportDecoder decodes LOLOHA round payloads for a protocol with reduced
-// domain g, resolving each user's hash from the enrolled hash seed.
-type ReportDecoder struct{ G int }
-
-// Decode implements longitudinal.Decoder.
-func (d ReportDecoder) Decode(payload []byte, reg longitudinal.Registration) (longitudinal.Report, error) {
-	rep, rest, err := DecodeReport(payload, d.G, reg.HashSeed)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("core: %d trailing bytes in LOLOHA payload", len(rest))
-	}
-	return rep, nil
-}
-
-// WireDecoder implements longitudinal.WireProtocol.
-func (p *Protocol) WireDecoder() longitudinal.Decoder { return ReportDecoder{G: p.g} }
-
 // ---------------------------------------------------------------------------
 // Server side (Algorithm 2).
 
@@ -334,9 +316,8 @@ func (p *Protocol) WireDecoder() longitudinal.Decoder { return ReportDecoder{G: 
 // histogram. It registers each user's hash function the first time it sees
 // the user and (optionally) caches the user's full hash table.
 type Aggregator struct {
+	longitudinal.Tally
 	proto  *Protocol
-	counts []int64
-	n      int
 	hashes map[int]hashfamily.Hash
 	tables map[int][]uint8 // userID -> H_u(v) for all v, if caching
 }
@@ -349,8 +330,8 @@ func (p *Protocol) NewAggregator() longitudinal.Aggregator {
 // NewServer returns an Aggregator with its concrete type.
 func (p *Protocol) NewServer() *Aggregator {
 	a := &Aggregator{
+		Tally:  longitudinal.Tally{Counts: make([]int64, p.k)},
 		proto:  p,
-		counts: make([]int64, p.k),
 		hashes: make(map[int]hashfamily.Hash),
 	}
 	if p.cacheSupport {
@@ -390,7 +371,7 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 		}
 		for v, hv := range table {
 			if hv == x {
-				a.counts[v]++
+				a.Counts[v]++
 			}
 		}
 	} else {
@@ -402,11 +383,11 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 		}
 		for v := 0; v < a.proto.k; v++ {
 			if h.Index(v) == r.X {
-				a.counts[v]++
+				a.Counts[v]++
 			}
 		}
 	}
-	a.n++
+	a.N++
 }
 
 // Fork implements longitudinal.MergeableAggregator.
@@ -423,19 +404,13 @@ func (a *Aggregator) Merge(other longitudinal.Aggregator) {
 	if !ok || o.proto != a.proto {
 		panic(fmt.Sprintf("core: LOLOHA aggregator cannot merge %T", other))
 	}
-	longitudinal.MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
+	a.Absorb(&o.Tally)
 }
 
 // EndRound implements longitudinal.Aggregator: Eq. (3) with q′₁ = 1/g.
 func (a *Aggregator) EndRound() []float64 {
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
-	return est
+	defer a.Reset()
+	return a.proto.params.EstimateAllL(a.Counts, a.N)
 }
 
 // EstimateDomain implements longitudinal.Aggregator.

@@ -27,13 +27,6 @@ func (p *Protocol) Spec() longitudinal.ProtocolSpec {
 
 func init() {
 	budgeted := []longitudinal.Field{longitudinal.FieldK, longitudinal.FieldEpsInf, longitudinal.FieldEps1}
-	decoder := func(p longitudinal.Protocol) (longitudinal.Decoder, error) {
-		lp, ok := p.(*Protocol)
-		if !ok {
-			return nil, fmt.Errorf("core: %T is not a LOLOHA protocol", p)
-		}
-		return ReportDecoder{G: lp.G()}, nil
-	}
 
 	longitudinal.RegisterFamily("LOLOHA", longitudinal.FamilyInfo{
 		Doc: "LOLOHA with explicit reduced domain g: longitudinal budget g·ε∞ (Algorithms 1–2)",
@@ -42,7 +35,6 @@ func init() {
 		Build: func(s longitudinal.ProtocolSpec) (longitudinal.Protocol, error) {
 			return New(s.K, s.G, s.EpsInf, s.Eps1)
 		},
-		NewDecoder: decoder,
 	})
 	longitudinal.RegisterFamily("BiLOLOHA", longitudinal.FamilyInfo{
 		Doc:      "BiLOLOHA (g = 2): strongest longitudinal protection, worst case 2·ε∞",
@@ -54,7 +46,6 @@ func init() {
 			}
 			return NewBinary(s.K, s.EpsInf, s.Eps1)
 		},
-		NewDecoder: decoder,
 	})
 	longitudinal.RegisterFamily("OLOLOHA", longitudinal.FamilyInfo{
 		Doc:      "OLOLOHA: g minimizes the approximate variance (Eq. (6)); best utility",
@@ -62,6 +53,5 @@ func init() {
 		Build: func(s longitudinal.ProtocolSpec) (longitudinal.Protocol, error) {
 			return NewOptimal(s.K, s.EpsInf, s.Eps1)
 		},
-		NewDecoder: decoder,
 	})
 }

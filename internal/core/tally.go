@@ -7,24 +7,29 @@ import (
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 )
 
+// Snapshot-contract assertion (wirecontract): the LOLOHA aggregator's
+// round state is the embedded longitudinal.Tally like every other
+// family's — its per-user hash and table caches are pure functions of the
+// enrolled hash seeds and rebuild lazily after a restore, so they are
+// deliberately not exported.
+var _ longitudinal.SnapshotTallier = (*Aggregator)(nil)
+
 // WireTallier implements longitudinal.TallyProtocol: LOLOHA payloads tally
 // directly into the aggregator's support counts, with no Report
 // materialized and zero steady-state allocations (the per-user hash table
 // is built once, on the user's first report).
-func (p *Protocol) WireTallier() longitudinal.WireTallier { return wireTallier{proto: p} }
+func (p *Protocol) WireTallier() longitudinal.ColumnarTallier { return wireTallier{proto: p} }
 
 type wireTallier struct{ proto *Protocol }
-
-var _ longitudinal.ColumnarTallier = wireTallier{}
 
 // PayloadStride implements longitudinal.ColumnarTallier.
 //
 //loloha:noalloc
 func (t wireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.proto.g) }
 
-// TallyCell implements longitudinal.ColumnarTallier: the hash-cell parse
-// keeps its value range check; the length check is hoisted to the batch
-// decoder.
+// TallyCell implements longitudinal.ColumnarTallier: parse the sanitized
+// hash cell (with its range check) and run the Algorithm 2 support loop
+// against the user's registered hash.
 //
 //loloha:noalloc
 func (t wireTallier) TallyCell(agg longitudinal.Aggregator, userID int, cell []byte, reg longitudinal.Registration) error {
@@ -33,24 +38,6 @@ func (t wireTallier) TallyCell(agg longitudinal.Aggregator, userID int, cell []b
 		return fmt.Errorf("core: LOLOHA tallier cannot tally into %T", agg)
 	}
 	x, err := freqoracle.ParseGRRPayload(cell, t.proto.g)
-	if err != nil {
-		return err
-	}
-	a.AddReport(userID, Report{HashSeed: reg.HashSeed, X: x, g: t.proto.g})
-	return nil
-}
-
-// TallyWire implements longitudinal.WireTallier: parse the sanitized hash
-// cell and run the Algorithm 2 support loop against the user's registered
-// hash.
-//
-//loloha:noalloc
-func (t wireTallier) TallyWire(agg longitudinal.Aggregator, userID int, payload []byte, reg longitudinal.Registration) error {
-	a, ok := agg.(*Aggregator)
-	if !ok || a.proto != t.proto {
-		return fmt.Errorf("core: LOLOHA tallier cannot tally into %T", agg)
-	}
-	x, err := freqoracle.ParseGRRPayload(payload, t.proto.g)
 	if err != nil {
 		return err
 	}

@@ -97,7 +97,7 @@ func AppendUEReport(dst []byte, rep *bitset.Bitset) []byte {
 // Allocation-free payload readers. The Decode* functions above materialize
 // report values (a Bitset for UE); the readers below validate and consume a
 // complete steady-state payload in place, so the server's tally-direct
-// ingestion path (longitudinal.WireTallier) performs zero allocations per
+// ingestion path (longitudinal.ColumnarTallier) performs zero allocations per
 // report. Each reader is strict: the payload must be exactly one report,
 // with no trailing bytes.
 

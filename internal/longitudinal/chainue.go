@@ -114,8 +114,9 @@ type ChainUE struct {
 	sampler freqoracle.ReportSampler
 }
 
-// Fast-path contracts (wirecontract): a regression in either interface
-// would silently degrade ingestion to the boxed Report path.
+// Wire contracts (wirecontract): without TallyProtocol no Stream can
+// ingest the protocol; without AppendReporter clients take the boxed
+// Report path.
 var (
 	_ SpecProtocol   = (*ChainUE)(nil)
 	_ TallyProtocol  = (*ChainUE)(nil)
@@ -194,9 +195,6 @@ func (c *ChainUE) ApproxVariance(n int) float64 { return c.params.ApproxVariance
 
 // SteadyReportBits implements Protocol: a UE report is k bits per round.
 func (c *ChainUE) SteadyReportBits() int { return c.k }
-
-// WireDecoder implements WireProtocol.
-func (c *ChainUE) WireDecoder() Decoder { return UEDecoder{K: c.k} }
 
 // Spec implements SpecProtocol. Chains built through NewChainUE with a
 // custom name yield a spec whose family may not be registered; the four
@@ -290,7 +288,7 @@ func (cl *chainUEClient) materialize(v int) int {
 }
 
 // Report implements Client: one-hot encode, PRR (memoized), then IRR. It
-// is the boxed compatibility path — AppendReport emits the same bytes with
+// is the boxed reference path — AppendReport emits the same bytes with
 // no Bitset or Report value.
 func (cl *chainUEClient) Report(v int) Report {
 	cl.wire = cl.AppendReport(cl.wire[:0], v)
@@ -342,14 +340,13 @@ func (r UEReport) AppendBinary(dst []byte) []byte {
 
 // chainUEAggregator tallies one round of UE reports.
 type chainUEAggregator struct {
-	proto  *ChainUE
-	counts []int64
-	n      int
+	Tally
+	proto *ChainUE
 }
 
 // NewAggregator implements Protocol.
 func (c *ChainUE) NewAggregator() Aggregator {
-	return &chainUEAggregator{proto: c, counts: make([]int64, c.k)}
+	return &chainUEAggregator{proto: c, Tally: Tally{Counts: make([]int64, c.k)}}
 }
 
 // Add implements Aggregator.
@@ -362,8 +359,8 @@ func (a *chainUEAggregator) Add(userID int, rep Report) {
 		panic(fmt.Sprintf("longitudinal: %s report has %d bits, want %d",
 			a.proto.name, ue.Bits.Len(), a.proto.k))
 	}
-	ue.Bits.AccumulateInto(a.counts)
-	a.n++
+	ue.Bits.AccumulateInto(a.Counts)
+	a.N++
 }
 
 // Fork implements MergeableAggregator.
@@ -377,19 +374,13 @@ func (a *chainUEAggregator) Merge(other Aggregator) {
 	if !ok || o.proto != a.proto {
 		panic(fmt.Sprintf("longitudinal: %s aggregator cannot merge %T", a.proto.name, other))
 	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
+	a.Absorb(&o.Tally)
 }
 
 // EndRound implements Aggregator.
 func (a *chainUEAggregator) EndRound() []float64 {
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
-	return est
+	defer a.Reset()
+	return a.proto.params.EstimateAllL(a.Counts, a.N)
 }
 
 // EstimateDomain implements Aggregator.

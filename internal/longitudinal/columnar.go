@@ -89,37 +89,14 @@ func SpecHashOf(p Protocol) uint64 {
 	return 0
 }
 
-// ---------------------------------------------------------------------------
-// The columnar tally fast path.
-
-// ColumnarTallier is a WireTallier whose steady-state payloads are
-// fixed-size, so a whole batch of them can be packed in one contiguous
-// column and tallied cell by cell with the length validation hoisted out
-// of the loop. Every tallier in this repository implements it.
-type ColumnarTallier interface {
-	WireTallier
-	// PayloadStride returns the exact steady-state payload size in bytes.
-	PayloadStride() int
-	// TallyCell is TallyWire under the columnar contract: the caller
-	// guarantees len(cell) == PayloadStride(), so implementations skip
-	// whole-payload length validation; data-dependent checks (value
-	// range, trailing bits, registration shape) remain per cell.
-	TallyCell(agg Aggregator, userID int, cell []byte, reg Registration) error
-}
-
 // ColumnarStrideOf returns the steady-state payload stride of the
-// protocol's tallier, when the protocol supports columnar ingestion
-// (TallyProtocol whose tallier is a ColumnarTallier).
+// protocol's tallier, when the protocol can be tallied (TallyProtocol).
 func ColumnarStrideOf(p Protocol) (int, bool) {
 	tp, ok := p.(TallyProtocol)
 	if !ok {
 		return 0, false
 	}
-	ct, ok := tp.WireTallier().(ColumnarTallier)
-	if !ok {
-		return 0, false
-	}
-	return ct.PayloadStride(), true
+	return tp.WireTallier().PayloadStride(), true
 }
 
 // ---------------------------------------------------------------------------

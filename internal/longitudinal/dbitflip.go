@@ -28,7 +28,7 @@ type DBitFlipPM struct {
 	sampler freqoracle.ReportSampler
 }
 
-// Fast-path contracts (wirecontract).
+// Wire contracts (wirecontract).
 var (
 	_ SpecProtocol   = (*DBitFlipPM)(nil)
 	_ TallyProtocol  = (*DBitFlipPM)(nil)
@@ -106,9 +106,6 @@ func (m *DBitFlipPM) ApproxVariance(n int) float64 {
 
 // SteadyReportBits implements Protocol: d bits per round (Table 1).
 func (m *DBitFlipPM) SteadyReportBits() int { return m.d }
-
-// WireDecoder implements WireProtocol.
-func (m *DBitFlipPM) WireDecoder() Decoder { return DBitDecoder{} }
 
 // Spec implements SpecProtocol. The family is always the generic
 // "dBitFlipPM" with explicit b and d — the canonical form the 1BitFlipPM /
@@ -292,14 +289,13 @@ func (r DBitReport) Equal(o DBitReport) bool {
 }
 
 type dBitAggregator struct {
-	proto  *DBitFlipPM
-	counts []int64
-	n      int
+	Tally
+	proto *DBitFlipPM
 }
 
 // NewAggregator implements Protocol.
 func (m *DBitFlipPM) NewAggregator() Aggregator {
-	return &dBitAggregator{proto: m, counts: make([]int64, m.b)}
+	return &dBitAggregator{proto: m, Tally: Tally{Counts: make([]int64, m.b)}}
 }
 
 // Add implements Aggregator.
@@ -314,10 +310,10 @@ func (a *dBitAggregator) Add(userID int, rep Report) {
 	}
 	for l, j := range d.Sampled {
 		if d.Bits[l] {
-			a.counts[j]++
+			a.Counts[j]++
 		}
 	}
-	a.n++
+	a.N++
 }
 
 // Fork implements MergeableAggregator.
@@ -331,26 +327,23 @@ func (a *dBitAggregator) Merge(other Aggregator) {
 	if !ok || o.proto != a.proto {
 		panic(fmt.Sprintf("longitudinal: dBitFlipPM aggregator cannot merge %T", other))
 	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
+	a.Absorb(&o.Tally)
 }
 
 // EndRound implements Aggregator: Eq. (1) with n replaced by nd/b, since
 // each bucket is observed by ~nd/b users (§2.4.4). A round with zero
 // reports estimates zero everywhere.
 func (a *dBitAggregator) EndRound() []float64 {
+	defer a.Reset()
 	est := make([]float64, a.proto.b)
-	if a.n == 0 {
+	if a.N == 0 {
 		return est
 	}
-	nEff := float64(a.n) * float64(a.proto.d) / float64(a.proto.b)
+	nEff := float64(a.N) * float64(a.proto.d) / float64(a.proto.b)
 	den := nEff * (a.proto.p - a.proto.q)
-	for j, c := range a.counts {
+	for j, c := range a.Counts {
 		est[j] = (float64(c) - nEff*a.proto.q) / den
-		a.counts[j] = 0
 	}
-	a.n = 0
 	return est
 }
 

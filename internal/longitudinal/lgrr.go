@@ -21,7 +21,7 @@ type LGRR struct {
 	params       ChainParams
 }
 
-// Fast-path contracts (wirecontract).
+// Wire contracts (wirecontract).
 var (
 	_ SpecProtocol   = (*LGRR)(nil)
 	_ TallyProtocol  = (*LGRR)(nil)
@@ -79,9 +79,6 @@ func (m *LGRR) ApproxVariance(n int) float64 { return m.params.ApproxVariance(n)
 func (m *LGRR) SteadyReportBits() int {
 	return int(math.Ceil(math.Log2(float64(m.k))))
 }
-
-// WireDecoder implements WireProtocol.
-func (m *LGRR) WireDecoder() Decoder { return GRRDecoder{K: m.k} }
 
 // Spec implements SpecProtocol.
 func (m *LGRR) Spec() ProtocolSpec {
@@ -160,14 +157,13 @@ func (r GRRValueReport) AppendBinary(dst []byte) []byte {
 }
 
 type lgrrAggregator struct {
-	proto  *LGRR
-	counts []int64
-	n      int
+	Tally
+	proto *LGRR
 }
 
 // NewAggregator implements Protocol.
 func (m *LGRR) NewAggregator() Aggregator {
-	return &lgrrAggregator{proto: m, counts: make([]int64, m.k)}
+	return &lgrrAggregator{proto: m, Tally: Tally{Counts: make([]int64, m.k)}}
 }
 
 // Add implements Aggregator.
@@ -179,8 +175,8 @@ func (a *lgrrAggregator) Add(userID int, rep Report) {
 	if g.X < 0 || g.X >= a.proto.k {
 		panic(fmt.Sprintf("longitudinal: L-GRR report %d outside [0,%d)", g.X, a.proto.k))
 	}
-	a.counts[g.X]++
-	a.n++
+	a.Counts[g.X]++
+	a.N++
 }
 
 // Fork implements MergeableAggregator.
@@ -194,19 +190,13 @@ func (a *lgrrAggregator) Merge(other Aggregator) {
 	if !ok || o.proto != a.proto {
 		panic(fmt.Sprintf("longitudinal: L-GRR aggregator cannot merge %T", other))
 	}
-	MergeCounts(a.counts, o.counts)
-	a.n += o.n
-	o.n = 0
+	a.Absorb(&o.Tally)
 }
 
 // EndRound implements Aggregator.
 func (a *lgrrAggregator) EndRound() []float64 {
-	est := a.proto.params.EstimateAllL(a.counts, a.n)
-	for i := range a.counts {
-		a.counts[i] = 0
-	}
-	a.n = 0
-	return est
+	defer a.Reset()
+	return a.proto.params.EstimateAllL(a.Counts, a.N)
 }
 
 // EstimateDomain implements Aggregator.

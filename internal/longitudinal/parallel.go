@@ -29,7 +29,7 @@ type ShardedCollector struct {
 	// emit payload bytes into bufs (one reusable buffer per shard) and the
 	// tallier bumps shard tallies in place — no bitset, no boxed Report,
 	// zero steady-state allocations per report.
-	tallier WireTallier
+	tallier ColumnarTallier
 	bufs    [][]byte
 }
 
@@ -65,7 +65,7 @@ func NewShardedCollector(agg Aggregator, n, shards int) *ShardedCollector {
 // Estimates are bit-identical on either path — AppendReport emits exactly
 // the bytes Report would serialize, and the tallier bumps the same integer
 // tallies Add would.
-func (c *ShardedCollector) EnableTallyDirect(t WireTallier) {
+func (c *ShardedCollector) EnableTallyDirect(t ColumnarTallier) {
 	c.tallier = t
 	if c.bufs == nil {
 		n := len(c.forks)
@@ -157,7 +157,7 @@ func (c *ShardedCollector) tallyRange(agg Aggregator, shard int, clients []Clien
 			continue
 		}
 		buf = ar.AppendReport(buf[:0], values[u])
-		if err := c.tallier.TallyWire(agg, u, buf, ar.WireRegistration()); err != nil {
+		if err := TallyPayload(c.tallier, agg, u, buf, ar.WireRegistration()); err != nil {
 			// A payload the protocol's own client just emitted cannot be
 			// malformed; a rejection here is a protocol implementation bug,
 			// surfaced like any other caller bug on this path.
@@ -165,13 +165,4 @@ func (c *ShardedCollector) tallyRange(agg Aggregator, shard int, clients []Clien
 		}
 	}
 	c.bufs[shard] = buf
-}
-
-// MergeCounts folds src's tallies into dst and zeroes src: the shared
-// round-state transfer of every Merge implementation in this repository.
-func MergeCounts(dst, src []int64) {
-	for i, c := range src {
-		dst[i] += c
-		src[i] = 0
-	}
 }

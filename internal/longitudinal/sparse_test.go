@@ -174,8 +174,8 @@ func TestChainUESparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, UEDecoder{K: k}.mustDecode(t, bufD))
-						aggS.Add(u, UEDecoder{K: k}.mustDecode(t, bufS))
+						aggD.Add(u, mustDecodeUE(t, bufD, k))
+						aggS.Add(u, mustDecodeUE(t, bufS, k))
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
@@ -186,12 +186,12 @@ func TestChainUESparseDenseParity(t *testing.T) {
 	}
 }
 
-// mustDecode decodes one payload or fails the test.
-func (d UEDecoder) mustDecode(t *testing.T, payload []byte) Report {
+// mustDecodeUE decodes exactly one k-bit UE payload or fails the test.
+func mustDecodeUE(t *testing.T, payload []byte, k int) Report {
 	t.Helper()
-	rep, err := d.Decode(payload, Registration{})
-	if err != nil {
-		t.Fatal(err)
+	rep, rest, err := DecodeUEReport(payload, k)
+	if err != nil || len(rest) != 0 {
+		t.Fatalf("decoding %d-byte UE payload: err=%v, %d trailing bytes", len(payload), err, len(rest))
 	}
 	return rep
 }
@@ -297,7 +297,7 @@ func TestLGRRReportMatchesAppendReport(t *testing.T) {
 }
 
 // TestCollectorTallyDirectMatchesAddPath: a collector routed through
-// AppendReport + WireTallier must produce bit-identical estimates to the
+// AppendReport + ColumnarTallier must produce bit-identical estimates to the
 // Report/Add path, per family and shard count — the gate for switching
 // simulation.Replay/RunMSE and Stream.Collect onto the wire fast path.
 func TestCollectorTallyDirectMatchesAddPath(t *testing.T) {

@@ -13,10 +13,10 @@ import (
 // description of one protocol configuration — the config-driven pattern used
 // by production LDP systems and by evaluation harnesses such as
 // multi-freq-ldpy — and the family registry maps its Family name onto a
-// builder and a wire decoder. One registration per family replaces three
-// parallel enumeration mechanisms (positional constructors, simulation
-// closures and the decoder-only server registry): a family registered once
-// is usable from Stream, simulation grids and the CLI alike.
+// builder. One registration per family replaces parallel enumeration
+// mechanisms (positional constructors, simulation closures): a family
+// registered once is usable from Stream, simulation grids and the CLI
+// alike.
 
 // Field names one ProtocolSpec parameter; FamilyInfo uses Fields to declare
 // which parameters a family consumes, driving both validation and the CLI's
@@ -63,13 +63,8 @@ type ProtocolSpec struct {
 
 // FamilyInfo describes one registered protocol family.
 type FamilyInfo struct {
-	// Build constructs a protocol from a validated spec. A nil Build marks
-	// a decoder-only entry (the RegisterDecoder compatibility surface).
+	// Build constructs a protocol from a validated spec.
 	Build func(ProtocolSpec) (Protocol, error)
-	// NewDecoder returns the payload decoder for a protocol of this family;
-	// the collection service consults it when the protocol does not
-	// implement WireProtocol itself. May be nil.
-	NewDecoder func(Protocol) (Decoder, error)
 	// Required lists the spec fields the family demands (beyond being
 	// non-zero, range checks live in Build).
 	Required []Field
@@ -100,9 +95,9 @@ var (
 	families = map[string]FamilyInfo{}
 )
 
-// RegisterFamily associates a family name with its builder, decoder factory
-// and parameter domains. Registering an existing name replaces the earlier
-// entry; registering a zero FamilyInfo removes it. External protocols
+// RegisterFamily associates a family name with its builder and parameter
+// domains. Registering an existing name replaces the earlier entry;
+// registering a FamilyInfo without a Build removes it. External protocols
 // register once and become constructible from a ProtocolSpec everywhere a
 // built-in family is.
 func RegisterFamily(name string, info FamilyInfo) {
@@ -111,23 +106,7 @@ func RegisterFamily(name string, info FamilyInfo) {
 	}
 	familyMu.Lock()
 	defer familyMu.Unlock()
-	if info.Build == nil && info.NewDecoder == nil {
-		delete(families, name)
-		return
-	}
-	families[name] = info
-}
-
-// RegisterWireDecoder is the decoder-only compatibility surface (the former
-// server.RegisterDecoder): it sets the NewDecoder of the named family,
-// creating a decoder-only entry when the family is unknown. A nil factory
-// clears the decoder and removes the entry entirely if it had no builder.
-func RegisterWireDecoder(name string, mk func(Protocol) (Decoder, error)) {
-	familyMu.Lock()
-	defer familyMu.Unlock()
-	info := families[name]
-	info.NewDecoder = mk
-	if info.Build == nil && info.NewDecoder == nil {
+	if info.Build == nil {
 		delete(families, name)
 		return
 	}
@@ -226,10 +205,6 @@ func (s ProtocolSpec) Build() (Protocol, error) {
 	if err != nil {
 		return nil, err
 	}
-	if info.Build == nil {
-		return nil, fmt.Errorf("longitudinal: family %q is decoder-only (registered via RegisterDecoder); it cannot be built from a spec",
-			s.Family)
-	}
 	if err := s.validateFields(info); err != nil {
 		return nil, err
 	}
@@ -305,45 +280,36 @@ func SpecOf(p Protocol) (ProtocolSpec, bool) {
 
 func init() {
 	chained := []Field{FieldK, FieldEpsInf, FieldEps1}
-	ueDecoder := func(p Protocol) (Decoder, error) { return UEDecoder{K: p.K()}, nil }
 
 	RegisterFamily("RAPPOR", FamilyInfo{
-		Doc:        "RAPPOR (L-SUE): SUE chained with SUE (§2.4.1)",
-		Required:   chained,
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewRAPPOR(s.K, s.EpsInf, s.Eps1) },
-		NewDecoder: ueDecoder,
+		Doc:      "RAPPOR (L-SUE): SUE chained with SUE (§2.4.1)",
+		Required: chained,
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewRAPPOR(s.K, s.EpsInf, s.Eps1) },
 	})
 	RegisterFamily("L-OSUE", FamilyInfo{
-		Doc:        "L-OSUE: OUE chained with SUE, the optimized unary-encoding baseline (§2.4.2)",
-		Required:   chained,
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewLOSUE(s.K, s.EpsInf, s.Eps1) },
-		NewDecoder: ueDecoder,
+		Doc:      "L-OSUE: OUE chained with SUE, the optimized unary-encoding baseline (§2.4.2)",
+		Required: chained,
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewLOSUE(s.K, s.EpsInf, s.Eps1) },
 	})
 	RegisterFamily("L-OUE", FamilyInfo{
-		Doc:        "L-OUE: OUE chained with OUE (infeasible (ε∞, ε1) pairs error)",
-		Required:   chained,
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewLOUE(s.K, s.EpsInf, s.Eps1) },
-		NewDecoder: ueDecoder,
+		Doc:      "L-OUE: OUE chained with OUE (infeasible (ε∞, ε1) pairs error)",
+		Required: chained,
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewLOUE(s.K, s.EpsInf, s.Eps1) },
 	})
 	RegisterFamily("L-SOUE", FamilyInfo{
-		Doc:        "L-SOUE: SUE chained with OUE (infeasible (ε∞, ε1) pairs error)",
-		Required:   chained,
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewLSOUE(s.K, s.EpsInf, s.Eps1) },
-		NewDecoder: ueDecoder,
+		Doc:      "L-SOUE: SUE chained with OUE (infeasible (ε∞, ε1) pairs error)",
+		Required: chained,
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewLSOUE(s.K, s.EpsInf, s.Eps1) },
 	})
 	RegisterFamily("L-GRR", FamilyInfo{
-		Doc:        "L-GRR: GRR chained with GRR, best for small domains (§2.4.3)",
-		Required:   chained,
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewLGRR(s.K, s.EpsInf, s.Eps1) },
-		NewDecoder: func(p Protocol) (Decoder, error) { return GRRDecoder{K: p.K()}, nil },
+		Doc:      "L-GRR: GRR chained with GRR, best for small domains (§2.4.3)",
+		Required: chained,
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewLGRR(s.K, s.EpsInf, s.Eps1) },
 	})
-
-	dbitDecoder := func(Protocol) (Decoder, error) { return DBitDecoder{}, nil }
 	RegisterFamily("dBitFlipPM", FamilyInfo{
-		Doc:        "Microsoft dBitFlipPM: b equal-width buckets, d sampled bits per user, no IRR round (§2.4.4)",
-		Required:   []Field{FieldK, FieldB, FieldD, FieldEpsInf},
-		Build:      func(s ProtocolSpec) (Protocol, error) { return NewDBitFlipPM(s.K, s.B, s.D, s.EpsInf) },
-		NewDecoder: dbitDecoder,
+		Doc:      "Microsoft dBitFlipPM: b equal-width buckets, d sampled bits per user, no IRR round (§2.4.4)",
+		Required: []Field{FieldK, FieldB, FieldD, FieldEpsInf},
+		Build:    func(s ProtocolSpec) (Protocol, error) { return NewDBitFlipPM(s.K, s.B, s.D, s.EpsInf) },
 	})
 	RegisterFamily("1BitFlipPM", FamilyInfo{
 		Doc:      "dBitFlipPM with d = 1: one sampled bit per user (lowest communication)",
@@ -355,7 +321,6 @@ func init() {
 			}
 			return NewDBitFlipPM(s.K, s.B, 1, s.EpsInf)
 		},
-		NewDecoder: dbitDecoder,
 	})
 	RegisterFamily("bBitFlipPM", FamilyInfo{
 		Doc:      "dBitFlipPM with d = b: every bucket sampled (best utility, b bits per round)",
@@ -367,6 +332,5 @@ func init() {
 			}
 			return NewDBitFlipPM(s.K, s.B, s.B, s.EpsInf)
 		},
-		NewDecoder: dbitDecoder,
 	})
 }

@@ -6,57 +6,146 @@ import (
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 )
 
-// Tally-direct ingestion. The Decoder contract materializes a Report value
-// per payload — which costs one interface-boxing allocation per report on
-// the server's hot path. A WireTallier instead decodes the payload bits in
-// place (views over the payload bytes, no intermediate report structs) and
-// bumps the aggregator's support counts directly, so steady-state wire
-// ingestion performs zero allocations per report. Estimates are
-// bit-identical to the Decoder path: both bump the same integer tallies.
-//
-// Decoder remains the compatibility path: protocols that only implement it
-// keep working, and a custom server.WithDecoder always wins over the
-// protocol's tallier.
+// The server side of every protocol in this repository is a support-count
+// vector plus a closed-form estimate (Algorithm 2 with Eq. (3)). Tally is
+// that round state, written once and embedded in every aggregator; a
+// ColumnarTallier is the one contract that moves a payload's bits into
+// it. Payloads are tallied in place — views over the payload bytes, no
+// intermediate report — so steady-state wire ingestion performs zero
+// allocations per report. The boxed Client.Report/Aggregator.Add pair is
+// the in-memory reference the wire path must agree with.
 
-// WireTallier tallies one steady-state round payload directly into an
-// aggregator, without materializing a Report.
-type WireTallier interface {
-	// TallyWire decodes payload in place and adds the report it carries to
-	// agg's current-round tallies for the identified user. agg must come
-	// from the same protocol that supplied the tallier (NewAggregator or a
-	// Fork of it); reg is the user's enrollment metadata. A non-nil error
-	// means nothing was tallied, exactly as a Decoder rejection would.
-	TallyWire(agg Aggregator, userID int, payload []byte, reg Registration) error
+// Tally is an aggregator's open-round state: integer support counts plus
+// the number of reports behind them. EndRound estimates from these two
+// alone, so exporting them, persisting or shipping them, and adding them
+// back is lossless — a restored or merged round ends bit-identically to
+// the uninterrupted one. Everything else an aggregator holds (per-user
+// hash caches, lookup tables) is a pure function of enrollment metadata
+// and rebuilds lazily.
+type Tally struct {
+	Counts []int64
+	N      int
 }
 
-// TallyProtocol is a Protocol whose steady-state payloads can be tallied
-// in place. Every protocol in this repository implements it; external
-// protocols may implement only WireProtocol (or register a Decoder) and
-// still plug into the collection service via the decode path.
+// SnapshotTallier is an Aggregator whose open-round tallies can be
+// exported and re-imported exactly — what server.Stream.Snapshot writes
+// for crash recovery and what a collector-tree leaf ships to its root
+// (integer adds commute, so the tree's estimates match a single-node run
+// exactly). Every aggregator in this repository implements it by
+// embedding Tally; the wirecontract linter pins the assertion for each
+// registered family.
+type SnapshotTallier interface {
+	// ExportTally appends the aggregator's current-round support counts to
+	// dst and returns the extended slice plus the round's report count n.
+	// The aggregator's state is unchanged.
+	ExportTally(dst []int64) ([]int64, int)
+	// ImportTally adds counts and n into the aggregator's current round.
+	// counts must have exactly the aggregator's tally length (the exported
+	// length); a mismatch imports nothing and returns an error. counts is
+	// not retained or mutated.
+	ImportTally(counts []int64, n int) error
+}
+
+// Snapshot-contract assertions (wirecontract): every family's aggregator
+// must stay export/import-capable or snapshot/restore and the collector
+// tree silently lose it.
+var (
+	_ SnapshotTallier = (*chainUEAggregator)(nil)
+	_ SnapshotTallier = (*lgrrAggregator)(nil)
+	_ SnapshotTallier = (*dBitAggregator)(nil)
+)
+
+// ExportTally implements SnapshotTallier.
+func (t *Tally) ExportTally(dst []int64) ([]int64, int) {
+	return append(dst, t.Counts...), t.N
+}
+
+// ImportTally implements SnapshotTallier.
+func (t *Tally) ImportTally(counts []int64, n int) error {
+	if len(counts) != len(t.Counts) {
+		return fmt.Errorf("longitudinal: import has %d counts, aggregator tallies %d", len(counts), len(t.Counts))
+	}
+	if n < 0 {
+		return fmt.Errorf("longitudinal: import has negative report count %d", n)
+	}
+	for i, c := range counts {
+		t.Counts[i] += c
+	}
+	t.N += n
+	return nil
+}
+
+// Absorb moves o's round into t — adding its counts and zeroing o — which
+// is the whole round-state transfer of every MergeableAggregator.Merge.
+// o must have t's tally length.
+func (t *Tally) Absorb(o *Tally) {
+	for i, c := range o.Counts {
+		t.Counts[i] += c
+	}
+	t.N += o.N
+	o.Reset()
+}
+
+// Reset zeroes the round; every EndRound runs it after estimating.
+func (t *Tally) Reset() {
+	clear(t.Counts)
+	t.N = 0
+}
+
+// ColumnarTallier tallies one protocol's steady-state payloads straight
+// into its aggregators. Payloads are fixed-size, so a batch can pack them
+// in one contiguous column (ColumnarBatch) and tally cell by cell.
+type ColumnarTallier interface {
+	// PayloadStride returns the exact steady-state payload size in bytes.
+	PayloadStride() int
+	// TallyCell adds the report carried by cell to agg's current-round
+	// tallies for the identified user. The caller guarantees
+	// len(cell) == PayloadStride() (TallyPayload checks it for loose
+	// payloads); data-dependent checks — value range, trailing bits, the
+	// shape of the enrollment reg — are the tallier's. agg must come from
+	// the same protocol (NewAggregator or a Fork of it). A non-nil error
+	// means nothing was tallied; TallyCell must never panic on hostile
+	// payload or registration bytes.
+	TallyCell(agg Aggregator, userID int, cell []byte, reg Registration) error
+}
+
+// TallyProtocol is a Protocol whose payloads can be tallied in place —
+// the contract server.Stream requires. Every protocol in this repository
+// implements it.
 type TallyProtocol interface {
 	Protocol
 	// WireTallier returns the tallier for this protocol's steady-state
 	// payloads.
-	WireTallier() WireTallier
+	WireTallier() ColumnarTallier
+}
+
+// TallyPayload tallies one loose payload — one not framed by a columnar
+// batch — through ct: the exact-length check, then TallyCell.
+//
+//loloha:noalloc
+func TallyPayload(ct ColumnarTallier, agg Aggregator, userID int, payload []byte, reg Registration) error {
+	if stride := ct.PayloadStride(); len(payload) != stride {
+		return fmt.Errorf("longitudinal: payload is %d bytes, protocol takes %d", len(payload), stride)
+	}
+	return ct.TallyCell(agg, userID, payload, reg)
 }
 
 // ---------------------------------------------------------------------------
 // Chained-UE tallier.
 
 // WireTallier implements TallyProtocol.
-func (c *ChainUE) WireTallier() WireTallier { return ueWireTallier{k: c.k} }
+func (c *ChainUE) WireTallier() ColumnarTallier { return ueWireTallier{k: c.k} }
 
 type ueWireTallier struct{ k int }
-
-var _ ColumnarTallier = ueWireTallier{}
 
 // PayloadStride implements ColumnarTallier.
 //
 //loloha:noalloc
 func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.k) }
 
-// TallyCell implements ColumnarTallier: the cell length is guaranteed by
-// the columnar contract; only the trailing-bit check remains per cell.
+// TallyCell implements ColumnarTallier: each set payload bit bumps one
+// support count straight from the payload bytes, after the trailing-bit
+// check.
 //
 //loloha:noalloc
 func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
@@ -67,25 +156,8 @@ func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registrat
 	if err := freqoracle.CheckUEPayload(cell, t.k); err != nil {
 		return err
 	}
-	freqoracle.AccumulateUEPayload(cell, t.k, a.counts)
-	a.n++
-	return nil
-}
-
-// TallyWire implements WireTallier: each set payload bit bumps one support
-// count straight from the payload bytes.
-//
-//loloha:noalloc
-func (t ueWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Registration) error {
-	a, ok := agg.(*chainUEAggregator)
-	if !ok || a.proto.k != t.k {
-		return fmt.Errorf("longitudinal: chained-UE tallier cannot tally into %T", agg)
-	}
-	if err := freqoracle.CheckUEPayload(payload, t.k); err != nil {
-		return err
-	}
-	freqoracle.AccumulateUEPayload(payload, t.k, a.counts)
-	a.n++
+	freqoracle.AccumulateUEPayload(cell, t.k, a.Counts)
+	a.N++
 	return nil
 }
 
@@ -93,19 +165,17 @@ func (t ueWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Regist
 // L-GRR tallier.
 
 // WireTallier implements TallyProtocol.
-func (m *LGRR) WireTallier() WireTallier { return grrWireTallier{k: m.k} }
+func (m *LGRR) WireTallier() ColumnarTallier { return grrWireTallier{k: m.k} }
 
 type grrWireTallier struct{ k int }
-
-var _ ColumnarTallier = grrWireTallier{}
 
 // PayloadStride implements ColumnarTallier.
 //
 //loloha:noalloc
 func (t grrWireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.k) }
 
-// TallyCell implements ColumnarTallier: the scalar parse keeps its value
-// range check; the length check is hoisted to the batch decoder.
+// TallyCell implements ColumnarTallier: parse the scalar value (with its
+// range check) and bump its count.
 //
 //loloha:noalloc
 func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
@@ -117,26 +187,8 @@ func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registra
 	if err != nil {
 		return err
 	}
-	a.counts[x]++
-	a.n++
-	return nil
-}
-
-// TallyWire implements WireTallier: parse the scalar value and bump its
-// count.
-//
-//loloha:noalloc
-func (t grrWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Registration) error {
-	a, ok := agg.(*lgrrAggregator)
-	if !ok || a.proto.k != t.k {
-		return fmt.Errorf("longitudinal: L-GRR tallier cannot tally into %T", agg)
-	}
-	x, err := freqoracle.ParseGRRPayload(payload, t.k)
-	if err != nil {
-		return err
-	}
-	a.counts[x]++
-	a.n++
+	a.Counts[x]++
+	a.N++
 	return nil
 }
 
@@ -144,20 +196,19 @@ func (t grrWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, _ Regis
 // dBitFlipPM tallier.
 
 // WireTallier implements TallyProtocol.
-func (m *DBitFlipPM) WireTallier() WireTallier { return dbitWireTallier{proto: m} }
+func (m *DBitFlipPM) WireTallier() ColumnarTallier { return dbitWireTallier{proto: m} }
 
 type dbitWireTallier struct{ proto *DBitFlipPM }
-
-var _ ColumnarTallier = dbitWireTallier{}
 
 // PayloadStride implements ColumnarTallier.
 //
 //loloha:noalloc
 func (t dbitWireTallier) PayloadStride() int { return (t.proto.d + 7) / 8 }
 
-// TallyCell implements ColumnarTallier: the registration-shape checks
-// stay per cell (they depend on the user's enrollment, not the wire
-// framing); the payload length is guaranteed by the columnar contract.
+// TallyCell implements ColumnarTallier: each set payload bit bumps the
+// count of the user's enrolled sampled bucket at that slot. The
+// enrollment comes off the wire, so its shape is checked before anything
+// is tallied: exactly d sampled buckets, each in [0,b).
 //
 //loloha:noalloc
 func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Registration) error {
@@ -165,56 +216,20 @@ func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Regis
 	if !ok || a.proto != t.proto {
 		return fmt.Errorf("longitudinal: dBitFlipPM tallier cannot tally into %T", agg)
 	}
-	d := len(reg.Sampled)
-	if d == 0 {
-		return fmt.Errorf("longitudinal: user enrolled without sampled buckets")
+	if len(reg.Sampled) != t.proto.d {
+		return fmt.Errorf("longitudinal: user enrolled with %d sampled buckets, protocol samples %d",
+			len(reg.Sampled), t.proto.d)
 	}
-	if d != a.proto.d {
-		// Mirror TallyWire: an enrollment whose sampled-set size disagrees
-		// with the protocol is a programming error, not a malformed cell.
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM report carries %d bits, want %d", d, a.proto.d))
+	for _, j := range reg.Sampled {
+		if uint(j) >= uint(t.proto.b) {
+			return fmt.Errorf("longitudinal: enrolled bucket %d outside [0,%d)", j, t.proto.b)
+		}
 	}
 	for l, j := range reg.Sampled {
 		if cell[l/8]>>(uint(l)%8)&1 == 1 {
-			a.counts[j]++
+			a.Counts[j]++
 		}
 	}
-	a.n++
-	return nil
-}
-
-// TallyWire implements WireTallier: each set payload bit bumps the count
-// of the user's enrolled sampled bucket at that slot, straight from the
-// payload bytes.
-//
-//loloha:noalloc
-func (t dbitWireTallier) TallyWire(agg Aggregator, _ int, payload []byte, reg Registration) error {
-	a, ok := agg.(*dBitAggregator)
-	if !ok || a.proto != t.proto {
-		return fmt.Errorf("longitudinal: dBitFlipPM tallier cannot tally into %T", agg)
-	}
-	d := len(reg.Sampled)
-	if d == 0 {
-		return fmt.Errorf("longitudinal: user enrolled without sampled buckets")
-	}
-	nBytes := (d + 7) / 8
-	if len(payload) < nBytes {
-		return fmt.Errorf("longitudinal: short dBit report: %d bytes, want %d", len(payload), nBytes)
-	}
-	if len(payload) > nBytes {
-		return fmt.Errorf("longitudinal: %d trailing bytes in dBit payload", len(payload)-nBytes)
-	}
-	if d != a.proto.d {
-		// Mirror the aggregator's Add contract: a registration whose
-		// sampled-set size disagrees with the protocol is a programming
-		// error, not a malformed payload.
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM report carries %d bits, want %d", d, a.proto.d))
-	}
-	for l, j := range reg.Sampled {
-		if payload[l/8]>>(uint(l)%8)&1 == 1 {
-			a.counts[j]++
-		}
-	}
-	a.n++
+	a.N++
 	return nil
 }

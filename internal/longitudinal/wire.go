@@ -9,37 +9,18 @@ import (
 // Wire decoding for the steady-state report formats produced by
 // Report.AppendBinary. A production deployment ships registration metadata
 // (hash seeds, sampled bucket indices) once at enrollment and then streams
-// these fixed-size payloads every round; the decoders below are the
-// server-side ingestion path and are exercised against the encoders in
-// tests and benchmarks.
+// these fixed-size payloads every round. Servers tally the payloads in
+// place (ColumnarTallier); the decoders below rebuild the boxed Report a
+// payload carries, for tests and offline analysis.
 
 // Registration carries a user's one-time enrollment metadata: everything a
-// decoder needs beyond the per-round payload bytes.
+// tallier needs beyond the per-round payload bytes.
 type Registration struct {
 	// HashSeed identifies a LOLOHA user's hash function (Algorithm 1,
 	// "Send H").
 	HashSeed uint64
 	// Sampled lists a dBitFlipPM user's fixed sampled buckets.
 	Sampled []int
-}
-
-// Decoder turns a round payload into a protocol report for an enrolled
-// user. Implementations exist for every protocol in this repository, and
-// external protocols supply their own through the WireProtocol interface
-// or the server-side decoder registry.
-type Decoder interface {
-	Decode(payload []byte, reg Registration) (Report, error)
-}
-
-// WireProtocol is a Protocol that is self-describing at the wire level: it
-// supplies the decoder for its own steady-state payloads. Every protocol in
-// this repository implements it, and out-of-repository protocols implement
-// it to plug into the collection service without any registration step.
-type WireProtocol interface {
-	Protocol
-	// WireDecoder returns a decoder for the payloads this protocol's
-	// clients produce via Report.AppendBinary.
-	WireDecoder() Decoder
 }
 
 // DecodeUEReport reads a k-bit unary-encoding round payload.
@@ -78,57 +59,4 @@ func DecodeDBitReport(src []byte, sampled []int) (DBitReport, []byte, error) {
 		bits[i] = src[i/8]>>(uint(i)%8)&1 == 1
 	}
 	return DBitReport{Sampled: sampled, Bits: bits}, src[nBytes:], nil
-}
-
-// ---------------------------------------------------------------------------
-// Decoders for the protocol families of this package. The LOLOHA decoder
-// lives in internal/core with the rest of that protocol.
-
-// UEDecoder decodes unary-encoding round payloads of k bits.
-type UEDecoder struct{ K int }
-
-// Decode implements Decoder.
-func (d UEDecoder) Decode(payload []byte, _ Registration) (Report, error) {
-	rep, rest, err := DecodeUEReport(payload, d.K)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("longitudinal: %d trailing bytes in UE payload", len(rest))
-	}
-	return rep, nil
-}
-
-// GRRDecoder decodes scalar GRR round payloads over [0..k).
-type GRRDecoder struct{ K int }
-
-// Decode implements Decoder.
-func (d GRRDecoder) Decode(payload []byte, _ Registration) (Report, error) {
-	rep, rest, err := DecodeGRRValueReport(payload, d.K)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("longitudinal: %d trailing bytes in GRR payload", len(rest))
-	}
-	return rep, nil
-}
-
-// DBitDecoder decodes dBitFlipPM round payloads using the user's enrolled
-// sampled buckets.
-type DBitDecoder struct{}
-
-// Decode implements Decoder.
-func (DBitDecoder) Decode(payload []byte, reg Registration) (Report, error) {
-	if len(reg.Sampled) == 0 {
-		return nil, fmt.Errorf("longitudinal: user enrolled without sampled buckets")
-	}
-	rep, rest, err := DecodeDBitReport(payload, reg.Sampled)
-	if err != nil {
-		return nil, err
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("longitudinal: %d trailing bytes in dBit payload", len(rest))
-	}
-	return rep, nil
 }

@@ -32,11 +32,11 @@ func columnarSpec(t *testing.T, family string, k int) longitudinal.ProtocolSpec 
 	}
 }
 
-// TestIngestColumnarParity pins the tentpole contract: for every
+// TestIngestColumnarParity pins the columnar contract: for every
 // registered family and shard count, a columnar batch (enrolling through
 // its registration columns in round 0) tallies bit-identically to Enroll
-// + per-report IngestBatch, on both the ColumnarTallier fast path and the
-// WithDecoder compatibility path.
+// + per-report IngestBatch, and both match a bare aggregator fed the same
+// clients' boxed reports through Client.Report/Aggregator.Add.
 func TestIngestColumnarParity(t *testing.T) {
 	const k, n, rounds = 24, 160, 3
 	for _, family := range longitudinal.Families() {
@@ -61,19 +61,16 @@ func TestIngestColumnarParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				dec, err := ForProtocol(proto)
-				if err != nil {
-					t.Fatal(err)
-				}
-				compat, err := NewStream(proto, WithShards(shards), WithDecoder(dec))
-				if err != nil {
-					t.Fatal(err)
-				}
+				// The reference: twin clients (same seeds) reporting boxed
+				// values into a bare aggregator.
+				bare := proto.NewAggregator()
+				twins := make([]longitudinal.Client, n)
 
 				clients := make([]longitudinal.AppendReporter, n)
 				regs := make([]longitudinal.Registration, n)
 				for u := range clients {
 					clients[u] = proto.NewClient(randsrc.Derive(11, uint64(u))).(longitudinal.AppendReporter)
+					twins[u] = proto.NewClient(randsrc.Derive(11, uint64(u)))
 					regs[u] = clients[u].WireRegistration()
 					if err := ref.Enroll(u, regs[u]); err != nil {
 						t.Fatalf("enroll %d: %v", u, err)
@@ -99,6 +96,7 @@ func TestIngestColumnarParity(t *testing.T) {
 					for u := range clients {
 						ids[u] = u
 						payloads[u] = clients[u].AppendReport(payloads[u][:0], (u*7+round)%k)
+						bare.Add(u, twins[u].Report((u*7+round)%k))
 						if round == 0 {
 							err = w.AddWithRegistration(u, payloads[u], regs[u])
 						} else {
@@ -111,26 +109,22 @@ func TestIngestColumnarParity(t *testing.T) {
 					if err := ref.IngestBatch(ids, payloads); err != nil {
 						t.Fatalf("round %d IngestBatch: %v", round, err)
 					}
-					enc := w.AppendTo(nil)
-					for name, s := range map[string]*Stream{"columnar": colS, "compat": compat} {
-						if err := longitudinal.DecodeColumnar(enc, &batch); err != nil {
-							t.Fatalf("round %d decode: %v", round, err)
-						}
-						if err := s.IngestColumnar(&batch); err != nil {
-							t.Fatalf("round %d IngestColumnar (%s): %v", round, name, err)
-						}
+					if err := longitudinal.DecodeColumnar(w.AppendTo(nil), &batch); err != nil {
+						t.Fatalf("round %d decode: %v", round, err)
+					}
+					if err := colS.IngestColumnar(&batch); err != nil {
+						t.Fatalf("round %d IngestColumnar: %v", round, err)
 					}
 
-					want := ref.CloseRound()
-					for name, s := range map[string]*Stream{"columnar": colS, "compat": compat} {
+					want := bare.EndRound()
+					for name, s := range map[string]*Stream{"batch": ref, "columnar": colS} {
 						got := s.CloseRound()
-						if got.Reports != want.Reports {
-							t.Fatalf("round %d (%s): %d reports, want %d", round, name, got.Reports, want.Reports)
+						if got.Reports != n {
+							t.Fatalf("round %d (%s): %d reports, want %d", round, name, got.Reports, n)
 						}
-						for v := range want.Raw {
-							if got.Raw[v] != want.Raw[v] || got.Estimates[v] != want.Estimates[v] {
-								t.Fatalf("round %d (%s): estimate %d = %v/%v, want %v/%v",
-									round, name, v, got.Raw[v], got.Estimates[v], want.Raw[v], want.Estimates[v])
+						for v := range want {
+							if got.Raw[v] != want[v] {
+								t.Fatalf("round %d (%s): estimate %d = %v, want %v", round, name, v, got.Raw[v], want[v])
 							}
 						}
 					}

@@ -2,147 +2,20 @@
 // the longitudinal protocols: users enroll once with their registration
 // metadata (hash seed for LOLOHA, sampled buckets for dBitFlipPM, nothing
 // for UE/GRR chains), then stream fixed-size round payloads as raw bytes.
-// The service decodes, tallies and publishes per-round results.
+// The service tallies and publishes per-round results.
 //
 // Stream is the production-facing face of the library: everything the
 // simulation harness does with in-memory Report values, a Stream does from
-// bytes — and tests prove the paths produce identical estimates. The
-// Collection type and its constructors are the deprecated pre-Stream
-// surface, kept as thin shims.
+// bytes — and tests prove the paths produce identical estimates.
 //
-// Payload ingestion is open and tallier-first: a protocol implementing
-// longitudinal.TallyProtocol supplies a WireTallier that tallies payload
-// bits straight into the shard aggregators with zero steady-state
-// allocations (every protocol in this repository does); any protocol
-// implementing longitudinal.WireProtocol supplies its own decoder as the
-// compatibility path, and protocols that cannot be modified are hooked in
-// through RegisterDecoder. Nothing in this package enumerates protocol
-// types.
+// Payload ingestion has one contract: the protocol implements
+// longitudinal.TallyProtocol, whose ColumnarTallier tallies payload bits
+// straight into the shard aggregators with zero steady-state allocations
+// (every protocol in this repository does). Nothing in this package
+// enumerates protocol types.
 package server
 
-import (
-	"fmt"
-
-	"github.com/loloha-ldp/loloha/internal/longitudinal"
-)
+import "github.com/loloha-ldp/loloha/internal/longitudinal"
 
 // Registration carries a user's one-time enrollment metadata.
 type Registration = longitudinal.Registration
-
-// Decoder turns a round payload into a protocol report for an enrolled
-// user.
-type Decoder = longitudinal.Decoder
-
-// ---------------------------------------------------------------------------
-// Decoder resolution: WireProtocol first, then the family registry.
-
-// RegisterDecoder associates a decoder factory with a protocol name
-// (Protocol.Name), for protocols that cannot implement
-// longitudinal.WireProtocol themselves. A WireProtocol implementation
-// always wins over a registry entry. Registering the same name twice
-// replaces the earlier factory; a nil factory removes it.
-//
-// This is a compatibility shim over the unified protocol family registry
-// (longitudinal.RegisterFamily): it creates or updates the family's
-// NewDecoder only. Registering the full FamilyInfo additionally makes the
-// protocol constructible from a declarative longitudinal.ProtocolSpec.
-func RegisterDecoder(name string, mk func(longitudinal.Protocol) (Decoder, error)) {
-	//loloha:boxed compatibility shim: decoder-only registrations are boxed by definition
-	longitudinal.RegisterWireDecoder(name, mk)
-}
-
-// ForProtocol resolves the payload decoder for a protocol: the protocol's
-// own WireDecoder when it implements longitudinal.WireProtocol (every
-// protocol in this repository does), otherwise the NewDecoder of the family
-// registered under its name (longitudinal.RegisterFamily or the
-// RegisterDecoder shim).
-func ForProtocol(p longitudinal.Protocol) (Decoder, error) {
-	if p == nil {
-		return nil, fmt.Errorf("server: nil protocol")
-	}
-	if wp, ok := p.(longitudinal.WireProtocol); ok {
-		return wp.WireDecoder(), nil
-	}
-	if info, ok := longitudinal.LookupFamily(p.Name()); ok && info.NewDecoder != nil {
-		return info.NewDecoder(p)
-	}
-	return nil, fmt.Errorf("server: no decoder for %T: implement longitudinal.WireProtocol, or register family %q (RegisterFamily / RegisterDecoder)",
-		p, p.Name())
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated pre-Stream surface.
-
-// Collection is the deprecated pre-Stream collection service: the same
-// engine with []float64 results instead of RoundResult.
-//
-// Deprecated: use Stream.
-type Collection struct {
-	s *Stream
-}
-
-// New returns a collection service for the protocol, decoding payloads
-// with the given decoder and striping ingestion over one shard per
-// available CPU.
-//
-// Deprecated: use NewStream.
-func New(proto longitudinal.Protocol, decoder Decoder) *Collection {
-	return NewSharded(proto, decoder, longitudinal.DefaultShards())
-}
-
-// NewSharded is New with an explicit stripe count. shards <= 1 — including
-// any negative value — or an aggregator without merge support yields a
-// fully serialized service. (NewStream, unlike this shim, rejects negative
-// counts.)
-//
-// Deprecated: use NewStream with WithShards and WithDecoder.
-func NewSharded(proto longitudinal.Protocol, decoder Decoder, shards int) *Collection {
-	if shards < 1 {
-		shards = 1
-	}
-	s, err := NewStream(proto, WithShards(shards), WithDecoder(decoder))
-	if err != nil {
-		// Unreachable for the legacy surface: the decoder is explicit and
-		// the shard count normalized, so only a nil protocol errors — the
-		// legacy constructors never guarded that either.
-		panic(err)
-	}
-	return &Collection{s: s}
-}
-
-// Stream returns the underlying Stream service.
-func (c *Collection) Stream() *Stream { return c.s }
-
-// Shards returns the number of ingestion stripes.
-func (c *Collection) Shards() int { return c.s.Shards() }
-
-// Enroll registers a user's one-time metadata.
-func (c *Collection) Enroll(userID int, reg Registration) error {
-	return c.s.Enroll(userID, reg)
-}
-
-// Ingest decodes and tallies one user's payload for the current round.
-func (c *Collection) Ingest(userID int, payload []byte) error {
-	return c.s.Ingest(userID, payload)
-}
-
-// CloseRound finalizes the current round, publishes its estimates and
-// opens the next round. The returned slice is the caller's to keep.
-func (c *Collection) CloseRound() []float64 {
-	return c.s.CloseRound().Raw
-}
-
-// Round returns a copy of the published estimates of round t (0-based).
-func (c *Collection) Round(t int) ([]float64, error) {
-	res, err := c.s.Round(t)
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw, nil
-}
-
-// Rounds returns the number of published rounds.
-func (c *Collection) Rounds() int { return c.s.Rounds() }
-
-// Enrolled returns the number of enrolled users.
-func (c *Collection) Enrolled() int { return c.s.Enrolled() }

@@ -19,9 +19,12 @@ func registrationOf(cl longitudinal.Client) Registration {
 	}
 }
 
+// The TestCollection* tests pin the wire-level service contract of
+// Stream: enrollment, per-report ingestion, round publication and access.
+
 func TestCollectionMatchesDirectAggregation(t *testing.T) {
-	// Byte path (Enroll/Ingest/CloseRound) vs direct Aggregator: identical
-	// estimates for every protocol family.
+	// Byte path (Enroll/Ingest/CloseRound) vs a bare aggregator fed by
+	// Client.Report/Add: identical estimates for every protocol family.
 	const k, n, rounds = 24, 1200, 3
 	protos := map[string]longitudinal.Protocol{}
 	if p, err := core.NewBinary(k, 2, 1); err == nil {
@@ -37,11 +40,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 		protos["dBitFlipPM"] = p
 	}
 	for name, proto := range protos {
-		dec, err := ForProtocol(proto)
-		if err != nil {
-			t.Fatalf("%s: %v", name, err)
-		}
-		col := New(proto, dec)
+		col := mustStream(t, proto)
 		direct := proto.NewAggregator()
 
 		clients := make([]longitudinal.Client, n)
@@ -72,7 +71,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 					t.Fatalf("%s: ingest: %v", name, err)
 				}
 			}
-			wire := col.CloseRound()
+			wire := col.CloseRound().Raw
 			want := direct.EndRound()
 			for v := range want {
 				if math.Abs(wire[v]-want[v]) > 1e-15 {
@@ -89,8 +88,7 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 
 func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	cl := proto.NewClient(1).(*core.Client)
 	payload := cl.ReportValue(3).AppendBinary(nil)
 
@@ -114,8 +112,7 @@ func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 
 func TestCollectionEnrollmentConflicts(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	if err := col.Enroll(0, Registration{HashSeed: 5}); err != nil {
 		t.Fatal(err)
 	}
@@ -132,8 +129,7 @@ func TestCollectionEnrollmentSampledBucketConflicts(t *testing.T) {
 	// dBitFlipPM user re-enrolling with different buckets of the same
 	// length was silently accepted — corrupting support counts.
 	proto, _ := longitudinal.NewDBitFlipPM(20, 10, 3, 2)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	if err := col.Enroll(0, Registration{Sampled: []int{1, 4, 7}}); err != nil {
 		t.Fatal(err)
 	}
@@ -152,8 +148,7 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	// Regression: CloseRound and Round used to alias the internal history
 	// slice, so a caller mutating the result corrupted published rounds.
 	proto, _ := core.NewBinary(12, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	cl := proto.NewClient(3).(*core.Client)
 	if err := col.Enroll(0, Registration{HashSeed: cl.HashSeed()}); err != nil {
 		t.Fatal(err)
@@ -161,15 +156,16 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	if err := col.Ingest(0, cl.ReportValue(5).AppendBinary(nil)); err != nil {
 		t.Fatal(err)
 	}
-	closed := col.CloseRound()
+	closed := col.CloseRound().Raw
 	want := append([]float64(nil), closed...)
 	for i := range closed {
 		closed[i] = math.Inf(1) // caller scribbles on the returned slice
 	}
-	got, err := col.Round(0)
+	res, err := col.Round(0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := res.Raw
 	for v := range want {
 		if got[v] != want[v] {
 			t.Fatalf("round history corrupted by caller mutation: est[%d] = %v, want %v", v, got[v], want[v])
@@ -183,16 +179,15 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for v := range want {
-		if again[v] != want[v] {
-			t.Fatalf("round history corrupted via Round aliasing: est[%d] = %v, want %v", v, again[v], want[v])
+		if again.Raw[v] != want[v] {
+			t.Fatalf("round history corrupted via Round aliasing: est[%d] = %v, want %v", v, again.Raw[v], want[v])
 		}
 	}
 }
 
 func TestCollectionRejectsMalformedPayloads(t *testing.T) {
 	proto, _ := longitudinal.NewRAPPOR(64, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	if err := col.Enroll(0, Registration{}); err != nil {
 		t.Fatal(err)
 	}
@@ -207,8 +202,7 @@ func TestCollectionRejectsMalformedPayloads(t *testing.T) {
 
 func TestCollectionRoundAccess(t *testing.T) {
 	proto, _ := longitudinal.NewLGRR(6, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	if _, err := col.Round(0); err == nil {
 		t.Error("unpublished round accessible")
 	}
@@ -225,8 +219,7 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 	// The service is documented thread-safe: hammer it from goroutines.
 	const k, n = 16, 400
 	proto, _ := core.NewBinary(k, 2, 1)
-	dec, _ := ForProtocol(proto)
-	col := New(proto, dec)
+	col := mustStream(t, proto)
 	payloads := make([][]byte, n)
 	for u := 0; u < n; u++ {
 		cl := proto.NewClient(uint64(u)).(*core.Client)
@@ -251,7 +244,7 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 	for err := range errs {
 		t.Error(err)
 	}
-	est := col.CloseRound()
+	est := col.CloseRound().Raw
 	sum := 0.0
 	for _, e := range est {
 		sum += e
@@ -262,7 +255,17 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 }
 
 func TestForProtocolUnknownType(t *testing.T) {
-	if _, err := ForProtocol(nil); err == nil {
+	if _, err := NewStream(nil); err == nil {
 		t.Error("nil protocol accepted")
 	}
+}
+
+// mustStream returns a stream for proto with the default options.
+func mustStream(t *testing.T, proto longitudinal.Protocol) *Stream {
+	t.Helper()
+	s, err := NewStream(proto)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }

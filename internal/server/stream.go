@@ -16,11 +16,12 @@ import (
 
 // Stream is the collection service of the library: one configurable,
 // thread-safe, multi-round frequency-monitoring pipeline for a single
-// longitudinal protocol. It subsumes the former Cohort/Collection pair:
+// longitudinal protocol, with two ways in:
 //
 //   - Wire path: users Enroll once with registration metadata, then stream
-//     raw payload bytes through Ingest (one report) or IngestBatch (decode
-//     outside the shard locks, one lock acquisition per shard per batch).
+//     raw payload bytes through Ingest (one report), IngestBatch (one lock
+//     acquisition per shard per batch) or IngestColumnar (a decoded
+//     columnar batch, registration columns enrolling inline).
 //   - Simulation path: WithCohort attaches in-process clients and Collect
 //     drives a complete round from raw values.
 //
@@ -38,13 +39,9 @@ import (
 // degrades to a single shard.
 type Stream struct {
 	proto longitudinal.Protocol
-	// tallier is the zero-allocation ingestion path: payload bits tally
-	// directly into the shard aggregator with no Report materialized. It
-	// is resolved from the protocol (longitudinal.TallyProtocol) unless
-	// WithDecoder overrides ingestion; decoder is the compatibility path
-	// and may be nil when the protocol supplies only a tallier.
-	tallier longitudinal.WireTallier
-	decoder Decoder
+	// tallier is the ingestion path: payload bits tally directly into the
+	// shard aggregator with no Report materialized and zero allocations.
+	tallier longitudinal.ColumnarTallier
 
 	// specHash fingerprints the stream's protocol configuration
 	// (longitudinal.SpecHashOf); columnar batches carry the producer's
@@ -58,8 +55,8 @@ type Stream struct {
 	merge  longitudinal.MergeableAggregator // nil when single-shard
 	shards []*streamShard
 
-	// scratch pools IngestBatch's per-shard index lists and phase buffers
-	// so steady-state batches reuse memory across calls.
+	// scratch pools the batch paths' per-shard index lists so
+	// steady-state batches reuse memory across calls.
 	scratch sync.Pool
 
 	pp      postprocess.Method
@@ -103,16 +100,10 @@ type streamShard struct {
 	tallied  int
 }
 
-// batchScratch is IngestBatch's reusable working memory: the per-shard
-// index lists of the partition phase plus the decode-path phase buffers.
+// batchScratch is the batch paths' reusable working memory: the
+// per-shard index lists of the partition phase.
 type batchScratch struct {
 	perShard [][]int
-	regs     []Registration
-	ok       []bool
-	reps     []longitudinal.Report
-	// cells re-frames a columnar payload column as per-report slices for
-	// the IngestBatch compatibility path.
-	cells [][]byte
 }
 
 // RoundResult is one published collection round.
@@ -150,7 +141,6 @@ type Option func(*streamConfig)
 type streamConfig struct {
 	shards    int
 	shardsSet bool
-	decoder   Decoder
 	pp        postprocess.Method
 	hh        *heavyhitter.Config
 	roundCap  int
@@ -165,13 +155,6 @@ type streamConfig struct {
 // rejected at construction.
 func WithShards(shards int) Option {
 	return func(c *streamConfig) { c.shards = shards; c.shardsSet = true }
-}
-
-// WithDecoder overrides payload decoding. Without it the decoder is
-// resolved from the protocol (WireProtocol, then the registry); use it to
-// drive a stream with a custom wire format.
-func WithDecoder(dec Decoder) Option {
-	return func(c *streamConfig) { c.decoder = dec }
 }
 
 // WithPostProcess selects the server-side estimate transform applied to
@@ -213,7 +196,9 @@ func WithCohort(n int, seed uint64) Option {
 	return func(c *streamConfig) { c.cohortN = n; c.cohortSet = true; c.seed = seed }
 }
 
-// NewStream returns a collection service for the protocol.
+// NewStream returns a collection service for the protocol, which must
+// implement longitudinal.TallyProtocol: its tallier is the only way a
+// payload reaches the stream's tallies.
 func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	cfg := streamConfig{roundCap: 16}
 	for _, o := range opts {
@@ -234,28 +219,15 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	if cfg.cohortSet && cfg.cohortN < 1 {
 		return nil, fmt.Errorf("server: cohort needs at least one user, got %d", cfg.cohortN)
 	}
-	var tallier longitudinal.WireTallier
-	if cfg.decoder == nil {
-		// Tally-direct is the default ingestion path; Decoder is resolved
-		// alongside it as the compatibility path. A protocol providing
-		// only a tallier (no WireDecoder, no registry entry) is complete.
-		if tp, ok := proto.(longitudinal.TallyProtocol); ok {
-			tallier = tp.WireTallier()
-		}
-		dec, err := ForProtocol(proto)
-		if err != nil {
-			if tallier == nil {
-				return nil, err
-			}
-			dec = nil
-		}
-		cfg.decoder = dec
+	tp, ok := proto.(longitudinal.TallyProtocol)
+	if !ok {
+		return nil, fmt.Errorf("server: protocol %s (%T) does not implement longitudinal.TallyProtocol: it needs WireTallier() returning a ColumnarTallier (PayloadStride + TallyCell)",
+			proto.Name(), proto)
 	}
 
 	s := &Stream{
 		proto:    proto,
-		tallier:  tallier,
-		decoder:  cfg.decoder,
+		tallier:  tp.WireTallier(),
 		specHash: longitudinal.SpecHashOf(proto),
 		pp:       cfg.pp,
 		roundCap: cfg.roundCap,
@@ -311,13 +283,10 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		// wire ingestion share rounds.
 		target := agg
 		s.collector = longitudinal.NewShardedCollector(target, cfg.cohortN, cfg.shards)
-		if s.tallier != nil {
-			// Route cohort collection through the same allocation-free
-			// generate→tally round trip as wire ingestion (clients emit
-			// AppendReport payloads into per-shard buffers). WithDecoder
-			// pins the boxed Report path here too.
-			s.collector.EnableTallyDirect(s.tallier)
-		}
+		// Route cohort collection through the same allocation-free
+		// generate→tally round trip as wire ingestion (clients emit
+		// AppendReport payloads into per-shard buffers).
+		s.collector.EnableTallyDirect(s.tallier)
 	}
 	return s, nil
 }
@@ -395,12 +364,11 @@ func (sh *streamShard) enroll(userID int, reg Registration) error {
 	return nil
 }
 
-// Ingest decodes and tallies one user's payload for the current round.
-// Duplicate reports within a round are rejected (they would bias Eq. (3)).
-// With a tally-capable protocol (longitudinal.TallyProtocol — every
-// protocol in this repository) the steady state performs zero allocations
-// per report: one map lookup resolves the user's slot, the duplicate check
-// is a bit test, and the payload tallies in place.
+// Ingest tallies one user's payload for the current round. Duplicate
+// reports within a round are rejected (they would bias Eq. (3)). The
+// steady state performs zero allocations per report: one map lookup
+// resolves the user's slot, the duplicate check is a bit test, and the
+// payload tallies in place.
 //
 //loloha:noalloc
 func (s *Stream) Ingest(userID int, payload []byte) error {
@@ -412,6 +380,15 @@ func (s *Stream) Ingest(userID int, payload []byte) error {
 	sh := s.shardOf(userID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	return s.tally(sh, userID, payload)
+}
+
+// tally runs one report through its shard: enrollment lookup, duplicate
+// check, then the length-checked tally. A rejected report tallies
+// nothing. Caller holds sh.mu.
+//
+//loloha:noalloc
+func (s *Stream) tally(sh *streamShard, userID int, payload []byte) error {
 	slot, ok := sh.slots[userID]
 	if !ok {
 		return fmt.Errorf("server: user %d not enrolled", userID)
@@ -419,40 +396,46 @@ func (s *Stream) Ingest(userID int, payload []byte) error {
 	if sh.reported.Get(slot) {
 		return fmt.Errorf("server: user %d already reported this round", userID)
 	}
-	if s.tallier != nil {
-		if err := s.tallier.TallyWire(sh.agg, userID, payload, sh.regs[slot]); err != nil {
-			return fmt.Errorf("server: user %d payload: %w", userID, err)
-		}
-	} else {
-		// Single-report compatibility path: one payload decodes under one
-		// shard lock; only IngestBatch amortizes decoding outside the locks.
-		//loloha:locksafe one bounded decode per Ingest; batches use IngestBatch phase 2
-		//loloha:alloc-ok boxed Decoder compatibility path materializes a Report
-		rep, err := s.decoder.Decode(payload, sh.regs[slot])
-		if err != nil {
-			return fmt.Errorf("server: user %d payload: %w", userID, err)
-		}
-		//loloha:alloc-ok boxed Aggregator.Add is the compatibility tally
-		sh.agg.Add(userID, rep)
+	if err := longitudinal.TallyPayload(s.tallier, sh.agg, userID, payload, sh.regs[slot]); err != nil {
+		return fmt.Errorf("server: user %d payload: %w", userID, err)
 	}
 	sh.reported.Set(slot, true)
 	sh.tallied++
 	return nil
 }
 
+// partition groups a batch's row indices by shard, so the tally loop takes
+// one lock per shard per batch. Rows whose user ID belongs to the attached
+// cohort are rejected here.
+//
+//loloha:noalloc
+func (s *Stream) partition(sc *batchScratch, userIDs []int, errs []error) []error {
+	for i := range sc.perShard {
+		sc.perShard[i] = sc.perShard[i][:0]
+	}
+	for i, u := range userIDs {
+		if err := s.checkWireID(u); err != nil {
+			errs = append(errs, err)
+			continue
+		}
+		si := s.shardIndex(u)
+		sc.perShard[si] = append(sc.perShard[si], i)
+	}
+	return errs
+}
+
 // IngestBatch tallies a whole batch of payloads, payloads[i] belonging to
-// userIDs[i], with one shard-lock acquisition per shard per phase rather
-// than one per report. With a tally-capable protocol the batch tallies in
-// place in a single pass; with a Decoder, decoding (the expensive
-// per-report work) runs outside the shard locks. Either way the working
-// memory — per-shard index lists and phase buffers — comes from a pool,
-// so steady-state batches allocate nothing (see BenchmarkIngestPath).
+// userIDs[i], with one shard-lock acquisition per shard rather than one
+// per report. The working memory — the per-shard index lists — comes from
+// a pool, so steady-state batches allocate nothing (see
+// BenchmarkIngestPath).
 //
 // The batch is not transactional: every enrolled, non-duplicate,
 // well-formed report is tallied, and the returned error joins one error
-// per rejected report (nil when all landed). Tallies are integer counts,
-// so estimates are bit-identical to ingesting the same reports one at a
-// time in any order.
+// per rejected report (nil when all landed). A user repeated within the
+// batch is rejected exactly like a repeat across Ingest calls. Tallies are
+// integer counts, so estimates are bit-identical to ingesting the same
+// reports one at a time in any order.
 //
 //loloha:noalloc
 func (s *Stream) IngestBatch(userIDs []int, payloads [][]byte) error {
@@ -466,127 +449,29 @@ func (s *Stream) IngestBatch(userIDs []int, payloads [][]byte) error {
 	defer s.mu.RUnlock()
 
 	sc := s.scratch.Get().(*batchScratch)
-	defer s.putScratch(sc)
+	defer s.scratch.Put(sc)
 
-	var errs []error
-	// Partition the batch by shard so each phase takes one lock per shard.
-	perShard := sc.perShard
-	for i := range perShard {
-		perShard[i] = perShard[i][:0]
-	}
-	for i, u := range userIDs {
-		if err := s.checkWireID(u); err != nil {
-			errs = append(errs, err)
-			continue
+	errs := s.partition(sc, userIDs, nil)
+	for si, idxs := range sc.perShard {
+		if len(idxs) > 0 {
+			errs = s.tallyRows(s.shards[si], idxs, userIDs, payloads, errs)
 		}
-		si := s.shardIndex(u)
-		perShard[si] = append(perShard[si], i)
-	}
-
-	// Tally-direct: enrollment lookup, duplicate check and in-place
-	// tally under one lock acquisition per shard. A user repeated
-	// within the batch is rejected exactly like a repeat across
-	// Ingest calls. This early return IS the steady state, so noalloc
-	// checks it despite the terminating shape.
-	//loloha:steady
-	if s.tallier != nil {
-		for si, idxs := range perShard {
-			if len(idxs) == 0 {
-				continue
-			}
-			sh := s.shards[si]
-			sh.mu.Lock()
-			for _, i := range idxs {
-				u := userIDs[i]
-				slot, found := sh.slots[u]
-				if !found {
-					errs = append(errs, fmt.Errorf("server: user %d not enrolled", u))
-					continue
-				}
-				if sh.reported.Get(slot) {
-					errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-					continue
-				}
-				if err := s.tallier.TallyWire(sh.agg, u, payloads[i], sh.regs[slot]); err != nil {
-					errs = append(errs, fmt.Errorf("server: user %d payload: %w", u, err))
-					continue
-				}
-				sh.reported.Set(slot, true)
-				sh.tallied++
-			}
-			sh.mu.Unlock()
-		}
-		return errors.Join(errs...)
-	}
-
-	// Decoder path. Phase 1: snapshot registrations under the shard locks.
-	regs := growScratch(sc.regs, len(userIDs))
-	sc.regs = regs
-	ok := growScratch(sc.ok, len(userIDs))
-	sc.ok = ok
-	clear(ok)
-	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			slot, found := sh.slots[userIDs[i]]
-			if !found {
-				errs = append(errs, fmt.Errorf("server: user %d not enrolled", userIDs[i]))
-				continue
-			}
-			regs[i] = sh.regs[slot]
-			ok[i] = true
-		}
-		sh.mu.Unlock()
-	}
-
-	// Phase 2: decode with no locks held — the expensive per-report work.
-	reps := growScratch(sc.reps, len(userIDs))
-	sc.reps = reps
-	for i := range userIDs {
-		if !ok[i] {
-			continue
-		}
-		//loloha:alloc-ok boxed Decoder compatibility path materializes Reports
-		rep, err := s.decoder.Decode(payloads[i], regs[i])
-		if err != nil {
-			ok[i] = false
-			errs = append(errs, fmt.Errorf("server: user %d payload: %w", userIDs[i], err))
-			continue
-		}
-		reps[i] = rep
-	}
-
-	// Phase 3: tally, one lock acquisition per shard for the whole batch.
-	// The duplicate check runs here so a user repeated within the batch is
-	// rejected exactly like a repeat across Ingest calls.
-	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			if !ok[i] {
-				continue
-			}
-			u := userIDs[i]
-			slot := sh.slots[u]
-			if sh.reported.Get(slot) {
-				errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-				continue
-			}
-			//loloha:alloc-ok boxed Aggregator.Add is the compatibility tally
-			sh.agg.Add(u, reps[i])
-			sh.reported.Set(slot, true)
-			sh.tallied++
-		}
-		sh.mu.Unlock()
 	}
 	return errors.Join(errs...)
+}
+
+// tallyRows tallies the batch rows idxs of one shard under its lock.
+//
+//loloha:noalloc
+func (s *Stream) tallyRows(sh *streamShard, idxs, userIDs []int, payloads [][]byte, errs []error) []error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	for _, i := range idxs {
+		if err := s.tally(sh, userIDs[i], payloads[i]); err != nil {
+			errs = append(errs, err)
+		}
+	}
+	return errs
 }
 
 // ErrColumnarMismatch reports a columnar batch built for a different
@@ -596,14 +481,12 @@ func (s *Stream) IngestBatch(userIDs []int, payloads [][]byte) error {
 var ErrColumnarMismatch = errors.New("columnar batch does not match the stream's protocol")
 
 // IngestColumnar tallies one decoded columnar batch (see
-// longitudinal.DecodeColumnar). With a columnar-capable tallier
-// (longitudinal.ColumnarTallier — every tallier in this repository) the
-// packed payload column tallies cell by cell with the length validation
-// hoisted out of the loop, one shard-lock acquisition per shard per
-// batch, and zero steady-state allocations. A batch carrying registration
-// columns enrolls each user before tallying (idempotent for already
-// enrolled users; a conflicting re-enrollment is reported but the report
-// still tallies under the original registration, exactly as a separate
+// longitudinal.DecodeColumnar): the packed payload column tallies cell by
+// cell, one shard-lock acquisition per shard per batch, with zero
+// steady-state allocations. A batch carrying registration columns enrolls
+// each user before tallying (idempotent for already enrolled users; a
+// conflicting re-enrollment is reported but the report still tallies
+// under the original registration, exactly as a separate
 // enroll-then-report sequence would behave).
 //
 // The spec hash and payload stride must match the stream's protocol;
@@ -617,138 +500,56 @@ func (s *Stream) IngestColumnar(batch *longitudinal.ColumnarBatch) error {
 		return fmt.Errorf("server: batch spec hash %#016x, stream has %#016x: %w",
 			batch.SpecHash, s.specHash, ErrColumnarMismatch)
 	}
-	n := batch.Count()
-	if n == 0 {
+	if batch.Count() == 0 {
 		return nil
 	}
-	ct, columnar := s.tallier.(longitudinal.ColumnarTallier)
-	if !columnar {
-		// Compatibility path: a WithDecoder override or a tallier without
-		// the columnar contract re-frames the column and rides IngestBatch.
-		return s.ingestColumnarCompat(batch)
-	}
-	if batch.Stride != ct.PayloadStride() {
+	if stride := s.tallier.PayloadStride(); batch.Stride != stride {
 		return fmt.Errorf("server: batch payload stride %d, protocol takes %d: %w",
-			batch.Stride, ct.PayloadStride(), ErrColumnarMismatch)
+			batch.Stride, stride, ErrColumnarMismatch)
 	}
 
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 
 	sc := s.scratch.Get().(*batchScratch)
-	defer s.putScratch(sc)
+	defer s.scratch.Put(sc)
 
-	var errs []error
-	// Partition by shard so the tally loop takes one lock per shard.
-	perShard := sc.perShard
-	for i := range perShard {
-		perShard[i] = perShard[i][:0]
-	}
-	for i, u := range batch.IDs {
-		if err := s.checkWireID(u); err != nil {
-			errs = append(errs, err)
-			continue
+	errs := s.partition(sc, batch.IDs, nil)
+	for si, idxs := range sc.perShard {
+		if len(idxs) > 0 {
+			errs = s.tallyColumn(s.shards[si], idxs, batch, errs)
 		}
-		si := s.shardIndex(u)
-		perShard[si] = append(perShard[si], i)
-	}
-
-	hasRegs := batch.HasRegistrations()
-	for si, idxs := range perShard {
-		if len(idxs) == 0 {
-			continue
-		}
-		sh := s.shards[si]
-		sh.mu.Lock()
-		for _, i := range idxs {
-			u := batch.IDs[i]
-			if hasRegs {
-				// Cold path: the batch enrolls its users inline. The sampled
-				// view aliases the batch's pooled bucket column, so the
-				// retained registration clones it.
-				reg := batch.Registration(i)
-				//loloha:alloc-ok cold enrollment clones the batch's sampled-bucket view
-				reg.Sampled = slices.Clone(reg.Sampled)
-				//loloha:alloc-ok cold enrollment extends the shard's slot tables
-				if err := sh.enroll(u, reg); err != nil {
-					errs = append(errs, err)
-				}
-			}
-			slot, found := sh.slots[u]
-			if !found {
-				errs = append(errs, fmt.Errorf("server: user %d not enrolled", u))
-				continue
-			}
-			if sh.reported.Get(slot) {
-				errs = append(errs, fmt.Errorf("server: user %d already reported this round", u))
-				continue
-			}
-			if err := ct.TallyCell(sh.agg, u, batch.Payload(i), sh.regs[slot]); err != nil {
-				errs = append(errs, fmt.Errorf("server: user %d payload: %w", u, err))
-				continue
-			}
-			sh.reported.Set(slot, true)
-			sh.tallied++
-		}
-		sh.mu.Unlock()
 	}
 	return errors.Join(errs...)
 }
 
-// ingestColumnarCompat routes a columnar batch through the per-report
-// IngestBatch machinery for streams without a columnar tallier (decoder
-// override, or an external tallier without the columnar contract).
-// Enrollment runs first without the stream lock held — IngestBatch takes
-// its own — so the two phases cannot deadlock against a waiting writer.
-func (s *Stream) ingestColumnarCompat(batch *longitudinal.ColumnarBatch) error {
-	var errs []error
-	if batch.HasRegistrations() {
-		for i, u := range batch.IDs {
-			if s.checkWireID(u) != nil {
-				continue // IngestBatch reports the cohort-ID rejection once
-			}
+// tallyColumn tallies the batch rows idxs of one shard under its lock,
+// enrolling each row's user first when the batch carries registrations.
+//
+//loloha:noalloc
+func (s *Stream) tallyColumn(sh *streamShard, idxs []int, batch *longitudinal.ColumnarBatch, errs []error) []error {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	hasRegs := batch.HasRegistrations()
+	for _, i := range idxs {
+		u := batch.IDs[i]
+		if hasRegs {
+			// Cold path: the batch enrolls its users inline. The sampled
+			// view aliases the batch's pooled bucket column, so the
+			// retained registration clones it.
 			reg := batch.Registration(i)
+			//loloha:alloc-ok cold enrollment clones the batch's sampled-bucket view
 			reg.Sampled = slices.Clone(reg.Sampled)
-			if err := s.Enroll(u, reg); err != nil {
+			//loloha:alloc-ok cold enrollment extends the shard's slot tables
+			if err := sh.enroll(u, reg); err != nil {
 				errs = append(errs, err)
 			}
 		}
+		if err := s.tally(sh, u, batch.Payload(i)); err != nil {
+			errs = append(errs, err)
+		}
 	}
-	sc := s.scratch.Get().(*batchScratch)
-	cells := growScratch(sc.cells, batch.Count())
-	sc.cells = cells
-	for i := range cells {
-		cells[i] = batch.Payload(i)
-	}
-	err := s.IngestBatch(batch.IDs, cells)
-	s.putScratch(sc)
-	if err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
-}
-
-// growScratch returns s resized to n elements, reusing its capacity when
-// possible. Contents are unspecified; callers overwrite or clear.
-//
-//loloha:noalloc
-func growScratch[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n)
-	}
-	return s[:n]
-}
-
-// putScratch returns batch working memory to the pool, dropping references
-// to decoded reports and registration snapshots so pooled buffers never
-// pin payload-derived data between batches.
-//
-//loloha:noalloc
-func (s *Stream) putScratch(sc *batchScratch) {
-	clear(sc.reps)
-	clear(sc.regs)
-	clear(sc.cells)
-	s.scratch.Put(sc)
+	return errs
 }
 
 // ---------------------------------------------------------------------------

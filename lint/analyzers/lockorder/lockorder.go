@@ -1,10 +1,10 @@
-// Package lockorder enforces the server's lock discipline (the PR 2/3
-// decode-outside-lock design) inside packages whose import path ends in
-// internal/server or internal/netserver:
+// Package lockorder enforces the server's lock discipline inside packages
+// whose import path ends in internal/server or internal/netserver:
 //
-//   - No Decoder.Decode call while a sync.Mutex (shard lock) or an
-//     exclusively held sync.RWMutex is held. Decoding under the shared
-//     stream lock is the IngestBatch phase-2 design and is allowed.
+//   - No Decode call while a sync.Mutex (shard lock) or an exclusively
+//     held sync.RWMutex is held: decoding is per-request work that must
+//     not serialize a shard or the round barrier. Decoding under the
+//     shared stream lock is allowed.
 //   - No channel send or receive while any lock is held, unless the send
 //     is occupancy-guarded in the same block (`if len(ch) == cap(ch)
 //     { continue }` before it) or marked //loloha:locksafe. close() never
@@ -16,9 +16,9 @@
 //     Mutex while one is held, is an inversion. Re-acquiring a held lock
 //     is a self-deadlock.
 //
-// WireTallier.TallyWire deliberately runs under the shard lock (tallies
-// are integer adds); its allocation behaviour is noalloc's job, so it is
-// not banned here.
+// ColumnarTallier.TallyCell deliberately runs under the shard lock
+// (tallies are integer adds); its allocation behaviour is noalloc's job,
+// so it is not banned here.
 //
 // The analysis is intra-function and syntactic about lock identity (the
 // rendered receiver expression, e.g. "sh.mu"). Functions whose name ends
@@ -381,7 +381,7 @@ func (c *checker) checkCall(call *ast.CallExpr, held lockSet) {
 			return
 		}
 		if lk, bad := held.anyExclusive(); bad {
-			c.pass.Reportf(call.Pos(), "Decoder.Decode while holding %s exclusively; decode outside the lock (IngestBatch phase 2) or mark //loloha:locksafe", lk)
+			c.pass.Reportf(call.Pos(), "Decoder.Decode while holding %s exclusively; decode before taking the lock or mark //loloha:locksafe", lk)
 		}
 	case "Subscribe":
 		if !c.ix.At(call, "locksafe") {

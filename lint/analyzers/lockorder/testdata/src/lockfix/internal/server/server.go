@@ -27,7 +27,7 @@ func (s *stream) decodeUnderShardLock(sh *shard, p []byte) {
 func (s *stream) decodeUnderRLock(p []byte) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	s.dec.Decode(p) // ok: shared stream lock (the IngestBatch phase-2 design)
+	s.dec.Decode(p) // ok: shared stream lock
 }
 
 func (s *stream) decodeOutside(sh *shard, p []byte) {

@@ -138,7 +138,7 @@ var trustTable = []trustRule{
 	{"internal/freqoracle", "ReportSampler", "PayloadBytes"},
 	// Contract interfaces of the longitudinal engine: implementations are
 	// required (by this analyzer, in their own packages) to be noalloc.
-	{"internal/longitudinal", "WireTallier", "TallyWire"},
+	{"internal/longitudinal", "", "TallyPayload"},
 	{"internal/longitudinal", "AppendReporter", "AppendReport"},
 	{"internal/longitudinal", "AppendReporter", "WireRegistration"},
 	// Columnar batch surface: the decoder reuses the batch's columns (the

@@ -11,14 +11,12 @@ type SpecProtocol interface {
 	Spec() ProtocolSpec
 }
 
-type WireTallier interface{ TallyWire(payload []byte) error }
-
 type ColumnarTallier interface {
-	WireTallier
 	PayloadStride() int
+	TallyCell(cell []byte) error
 }
 
-type TallyProtocol interface{ WireTallier() WireTallier }
+type TallyProtocol interface{ WireTallier() ColumnarTallier }
 
 type AppendReporter interface{ AppendReport([]byte, int) []byte }
 
@@ -31,26 +29,30 @@ type SnapshotTallier interface {
 	ImportTally(counts []int64, n int) error
 }
 
+// Tally is the shared round state whose methods give every embedding
+// aggregator the durability contract.
+type Tally struct{}
+
+func (*Tally) ExportTally(dst []int64) ([]int64, int)  { return dst, 0 }
+func (*Tally) ImportTally(counts []int64, n int) error { return nil }
+
 type FamilyInfo struct {
 	Build func(ProtocolSpec) (Protocol, error)
 }
 
 func RegisterFamily(name string, info FamilyInfo) {}
 
-func RegisterWireDecoder(name string, mk func() int) {}
+type tallier struct{}
 
-// goodTallier supports both the row and the columnar tally paths.
-type goodTallier struct{}
+func (tallier) PayloadStride() int          { return 1 }
+func (tallier) TallyCell(cell []byte) error { return nil }
 
-func (goodTallier) TallyWire(payload []byte) error { return nil }
-func (goodTallier) PayloadStride() int             { return 1 }
-
-// good is the fully asserted fast-path family.
+// good is the fully asserted family.
 type good struct{}
 
-func (*good) K() int                   { return 2 }
-func (*good) Spec() ProtocolSpec       { return ProtocolSpec{Name: "good"} }
-func (*good) WireTallier() WireTallier { return goodTallier{} }
+func (*good) K() int                       { return 2 }
+func (*good) Spec() ProtocolSpec           { return ProtocolSpec{Name: "good"} }
+func (*good) WireTallier() ColumnarTallier { return tallier{} }
 
 func (p *good) NewClient(seed uint64) *goodClient { return &goodClient{} }
 func (p *good) NewAggregator() Aggregator         { return &goodAgg{} }
@@ -60,71 +62,53 @@ type goodClient struct{}
 func (*goodClient) AppendReport(dst []byte, v int) []byte { return dst }
 
 // goodAgg carries the full durability contract.
-type goodAgg struct{}
+type goodAgg struct{ Tally }
 
-func (*goodAgg) EndRound() []float64                     { return nil }
-func (*goodAgg) ExportTally(dst []int64) ([]int64, int)  { return dst, 0 }
-func (*goodAgg) ImportTally(counts []int64, n int) error { return nil }
+func (*goodAgg) EndRound() []float64 { return nil }
 
 var (
 	_ SpecProtocol    = (*good)(nil)
 	_ TallyProtocol   = (*good)(nil)
 	_ AppendReporter  = (*goodClient)(nil)
-	_ ColumnarTallier = goodTallier{}
 	_ SnapshotTallier = (*goodAgg)(nil)
 )
 
-// missing implements the fast path but forgot its assertions. Its tallier
-// is the already-reported goodTallier, so only the protocol assertions are
-// flagged.
+// missing implements the contracts but forgot its assertions.
 type missing struct{}
 
-func (*missing) K() int                   { return 2 }
-func (*missing) Spec() ProtocolSpec       { return ProtocolSpec{Name: "missing"} }
-func (*missing) WireTallier() WireTallier { return goodTallier{} }
+func (*missing) K() int                       { return 2 }
+func (*missing) Spec() ProtocolSpec           { return ProtocolSpec{Name: "missing"} }
+func (*missing) WireTallier() ColumnarTallier { return tallier{} }
 
-// boxedProto implements only the boxed minimum.
-type boxedProto struct{}
+// untallied has no tallier: a Stream cannot ingest it.
+type untallied struct{}
 
-func (*boxedProto) K() int             { return 2 }
-func (*boxedProto) Spec() ProtocolSpec { return ProtocolSpec{Name: "boxed"} }
+func (*untallied) K() int             { return 2 }
+func (*untallied) Spec() ProtocolSpec { return ProtocolSpec{Name: "untallied"} }
 
-var _ SpecProtocol = (*boxedProto)(nil)
-
-// rowTallier handles single reports only: no PayloadStride, so columnar
-// batches for this family re-frame per report.
-type rowTallier struct{}
-
-func (rowTallier) TallyWire(payload []byte) error { return nil }
-
-// rowOnly is asserted for the protocol interfaces but its tallier never
-// grew a columnar path.
-type rowOnly struct{}
-
-func (*rowOnly) K() int                   { return 2 }
-func (*rowOnly) Spec() ProtocolSpec       { return ProtocolSpec{Name: "rowOnly"} }
-func (*rowOnly) WireTallier() WireTallier { return rowTallier{} }
+// markedUntallied is untallied behind a //loloha:boxed marker, which does
+// not excuse it.
+type markedUntallied struct{ untallied }
 
 var (
-	_ SpecProtocol  = (*rowOnly)(nil)
-	_ TallyProtocol = (*rowOnly)(nil)
+	_ SpecProtocol = (*untallied)(nil)
+	_ SpecProtocol = (*markedUntallied)(nil)
 )
 
-// colTallier implements the columnar path but forgot its assertion.
-type colTallier struct{}
+// boxedClient reports only through the boxed Report path, unmarked.
+type boxedClient struct{}
 
-func (colTallier) TallyWire(payload []byte) error { return nil }
-func (colTallier) PayloadStride() int             { return 1 }
+type boxedReporter struct{}
 
-type colMissing struct{}
+func (*boxedReporter) K() int                       { return 2 }
+func (*boxedReporter) Spec() ProtocolSpec           { return ProtocolSpec{Name: "boxedReporter"} }
+func (*boxedReporter) WireTallier() ColumnarTallier { return tallier{} }
 
-func (*colMissing) K() int                   { return 2 }
-func (*colMissing) Spec() ProtocolSpec       { return ProtocolSpec{Name: "colMissing"} }
-func (*colMissing) WireTallier() WireTallier { return colTallier{} }
+func (p *boxedReporter) NewClient(seed uint64) *boxedClient { return &boxedClient{} }
 
 var (
-	_ SpecProtocol  = (*colMissing)(nil)
-	_ TallyProtocol = (*colMissing)(nil)
+	_ SpecProtocol  = (*boxedReporter)(nil)
+	_ TallyProtocol = (*boxedReporter)(nil)
 )
 
 // snapNoAgg tallies but cannot export its counts: the family cannot take
@@ -135,10 +119,10 @@ func (*snapNoAgg) EndRound() []float64 { return nil }
 
 type snapNo struct{}
 
-func (*snapNo) K() int                    { return 2 }
-func (*snapNo) Spec() ProtocolSpec        { return ProtocolSpec{Name: "snapNo"} }
-func (*snapNo) WireTallier() WireTallier  { return goodTallier{} }
-func (*snapNo) NewAggregator() Aggregator { return &snapNoAgg{} }
+func (*snapNo) K() int                       { return 2 }
+func (*snapNo) Spec() ProtocolSpec           { return ProtocolSpec{Name: "snapNo"} }
+func (*snapNo) WireTallier() ColumnarTallier { return tallier{} }
+func (*snapNo) NewAggregator() Aggregator    { return &snapNoAgg{} }
 
 var (
 	_ SpecProtocol  = (*snapNo)(nil)
@@ -147,18 +131,16 @@ var (
 
 // snapMissingAgg implements the durability contract but forgot the
 // assertion that keeps it implemented.
-type snapMissingAgg struct{}
+type snapMissingAgg struct{ Tally }
 
-func (*snapMissingAgg) EndRound() []float64                     { return nil }
-func (*snapMissingAgg) ExportTally(dst []int64) ([]int64, int)  { return dst, 0 }
-func (*snapMissingAgg) ImportTally(counts []int64, n int) error { return nil }
+func (*snapMissingAgg) EndRound() []float64 { return nil }
 
 type snapMissing struct{}
 
-func (*snapMissing) K() int                    { return 2 }
-func (*snapMissing) Spec() ProtocolSpec        { return ProtocolSpec{Name: "snapMissing"} }
-func (*snapMissing) WireTallier() WireTallier  { return goodTallier{} }
-func (*snapMissing) NewAggregator() Aggregator { return &snapMissingAgg{} }
+func (*snapMissing) K() int                       { return 2 }
+func (*snapMissing) Spec() ProtocolSpec           { return ProtocolSpec{Name: "snapMissing"} }
+func (*snapMissing) WireTallier() ColumnarTallier { return tallier{} }
+func (*snapMissing) NewAggregator() Aggregator    { return &snapMissingAgg{} }
 
 var (
 	_ SpecProtocol  = (*snapMissing)(nil)
@@ -172,14 +154,15 @@ func init() {
 	RegisterFamily("missing", FamilyInfo{ // want "var _ SpecProtocol" "var _ TallyProtocol"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &missing{}, nil },
 	})
-	RegisterFamily("boxed", FamilyInfo{ // want "does not implement TallyProtocol"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &boxedProto{}, nil },
+	RegisterFamily("untallied", FamilyInfo{ // want "does not implement TallyProtocol"
+		Build: func(s ProtocolSpec) (Protocol, error) { return &untallied{}, nil },
 	})
-	RegisterFamily("rowOnly", FamilyInfo{ // want "does not implement ColumnarTallier"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &rowOnly{}, nil },
+	//loloha:boxed the marker cannot excuse a family no Stream can ingest
+	RegisterFamily("untalliedMarked", FamilyInfo{ // want "does not implement TallyProtocol"
+		Build: func(s ProtocolSpec) (Protocol, error) { return &markedUntallied{}, nil },
 	})
-	RegisterFamily("colMissing", FamilyInfo{ // want "var _ ColumnarTallier"
-		Build: func(s ProtocolSpec) (Protocol, error) { return &colMissing{}, nil },
+	RegisterFamily("boxedReporter", FamilyInfo{ // want "does not implement AppendReporter"
+		Build: func(s ProtocolSpec) (Protocol, error) { return &boxedReporter{}, nil },
 	})
 	RegisterFamily("snapNo", FamilyInfo{ // want "does not implement SnapshotTallier"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &snapNo{}, nil },
@@ -187,7 +170,4 @@ func init() {
 	RegisterFamily("snapMissing", FamilyInfo{ // want "var _ SnapshotTallier"
 		Build: func(s ProtocolSpec) (Protocol, error) { return &snapMissing{}, nil },
 	})
-	//loloha:boxed decoder-compat shim kept for the legacy wire format
-	RegisterWireDecoder("legacy", func() int { return 0 })
-	RegisterWireDecoder("loud", func() int { return 0 }) // want "decoder-only family"
 }

@@ -1,32 +1,27 @@
-// Package wirecontract keeps protocol families on the fast wire path. A
-// family registered with longitudinal.RegisterFamily whose protocol or
-// client type silently stops implementing the fast-path interfaces
-// (TallyProtocol for tally-direct ingestion, AppendReporter for
-// allocation-free report generation) degrades to the boxed Report path
-// with no compile error — the engine still works, just slower. The
-// analyzer makes that degradation loud:
+// Package wirecontract keeps registered protocol families on the wire
+// contracts. A family registered with longitudinal.RegisterFamily whose
+// protocol, client or aggregator type silently stops implementing one of
+// them fails with no compile error: without TallyProtocol a server.Stream
+// refuses the protocol at runtime, and without AppendReporter or
+// SnapshotTallier the family loses allocation-free report generation or
+// snapshot/restore. The analyzer makes those regressions loud:
 //
 //   - Every concrete protocol type returned by a family's Build hook must
 //     carry a package-level compile-time assertion
 //     `var _ longitudinal.SpecProtocol = (*T)(nil)` — and must implement
 //     the interface in the first place.
-//   - If the protocol implements TallyProtocol, the same assertion is
-//     required for it; if it does not, the registration is flagged as
-//     falling back to the boxed path unless marked //loloha:boxed <why>.
+//   - The protocol must implement TallyProtocol (the one ingestion
+//     contract: PayloadStride + TallyCell) and carry its assertion. There
+//     is no escape: a family a Stream cannot ingest is a broken family.
 //   - The concrete client type returned by the protocol's NewClient must
-//     implement AppendReporter and carry its assertion, with the same
-//     //loloha:boxed escape.
-//   - The concrete tallier returned by a TallyProtocol's WireTallier must
-//     implement ColumnarTallier (the decode-free batch fast path) and
-//     carry its assertion; a row-only tallier is flagged unless marked
+//     implement AppendReporter and carry its assertion; a client that
+//     deliberately takes the boxed Report path is marked
 //     //loloha:boxed <why>.
-//   - The concrete aggregator returned by a fast-path (TallyProtocol)
-//     family's NewAggregator must implement SnapshotTallier (the
-//     durability contract: snapshot/restore and collector-tree merges
-//     serialize tally state through it) and carry its assertion; an
-//     aggregator without it is flagged unless marked //loloha:boxed <why>.
-//   - RegisterWireDecoder registers a decoder-only (inherently boxed)
-//     family and always requires the //loloha:boxed marker.
+//   - The concrete aggregator returned by the family's NewAggregator must
+//     implement SnapshotTallier (the durability contract: snapshot/restore
+//     and collector-tree merges serialize tally state through it) and
+//     carry its assertion; an aggregator without it is flagged unless
+//     marked //loloha:boxed <why>.
 //
 // Resolution is intra-package and one level deep: Build/NewClient bodies
 // whose returns have concrete static types (the idiom everywhere in this
@@ -46,7 +41,7 @@ import (
 // Analyzer is the wirecontract pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "wirecontract",
-	Doc:  "registered families must assert their fast-path interfaces so boxed fallback cannot happen silently",
+	Doc:  "registered families must implement and assert their wire contracts so a regression cannot happen silently",
 	Run:  run,
 }
 
@@ -80,12 +75,7 @@ func run(pass *analysis.Pass) error {
 			if path != registryPkg && !strings.HasSuffix(path, "/"+registryPkg) {
 				return true
 			}
-			switch fn.Name() {
-			case "RegisterWireDecoder":
-				if !ix.At(call, "boxed") {
-					pass.Reportf(call.Pos(), "RegisterWireDecoder registers a decoder-only family that always takes the boxed Report path; mark //loloha:boxed <why> or register a full family")
-				}
-			case "RegisterFamily":
+			if fn.Name() == "RegisterFamily" {
 				checkFamily(pass, ix, asserts, reported, call, fn.Pkg())
 			}
 			return true
@@ -118,7 +108,6 @@ func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, repo
 	specIface := lookupIface(registry, "SpecProtocol")
 	tallyIface := lookupIface(registry, "TallyProtocol")
 	reporterIface := lookupIface(registry, "AppendReporter")
-	columnarIface := lookupIface(registry, "ColumnarTallier")
 	snapIface := lookupIface(registry, "SnapshotTallier")
 
 	for _, proto := range resolveReturns(pass, build) {
@@ -139,30 +128,12 @@ func checkFamily(pass *analysis.Pass, ix *annot.Index, asserts []assertion, repo
 		if tallyIface != nil {
 			switch {
 			case !implements(proto, tallyIface):
-				if !ix.At(call, "boxed") {
-					pass.Reportf(call.Pos(), "%s does not implement TallyProtocol: ingestion falls back to the boxed Decoder path; implement WireTallier or mark //loloha:boxed <why>", proto)
-				}
+				pass.Reportf(call.Pos(), "%s does not implement TallyProtocol: server.NewStream rejects it; implement WireTallier() returning a ColumnarTallier", proto)
 			case !asserted(asserts, tallyIface, proto):
 				pass.Reportf(call.Pos(), "missing compile-time assertion: var _ TallyProtocol = (%s)(nil)", proto)
 			}
 		}
-		if columnarIface != nil && tallyIface != nil && implements(proto, tallyIface) {
-			if tallier := resolveMethodReturn(pass, proto, "WireTallier"); tallier != nil {
-				tkey := tallier.String() + " columnar"
-				if !reported[tkey] {
-					reported[tkey] = true
-					switch {
-					case !implements(tallier, columnarIface):
-						if !ix.At(call, "boxed") {
-							pass.Reportf(call.Pos(), "tallier %s does not implement ColumnarTallier: columnar batches fall back to per-report re-framing; implement TallyCell or mark //loloha:boxed <why>", tallier)
-						}
-					case !asserted(asserts, columnarIface, tallier):
-						pass.Reportf(call.Pos(), "missing compile-time assertion: var _ ColumnarTallier = %s", zeroValueOf(tallier))
-					}
-				}
-			}
-		}
-		if snapIface != nil && tallyIface != nil && implements(proto, tallyIface) {
+		if snapIface != nil {
 			if agg := resolveMethodReturn(pass, proto, "NewAggregator"); agg != nil {
 				akey := agg.String() + " snapshot"
 				if !reported[akey] {
@@ -380,8 +351,8 @@ func forEachReturn(body *ast.BlockStmt, visit func(*ast.ReturnStmt)) {
 }
 
 // zeroValueOf renders the spelling of a zero value of t for use in an
-// assertion suggestion: `T{}` for structs (talliers are value types in this
-// repository), `(*T)(nil)` for pointers, `T(0)`-less bare name otherwise.
+// assertion suggestion: `T{}` for structs, `(*T)(nil)` for pointers, the
+// bare name otherwise.
 func zeroValueOf(t types.Type) string {
 	if p, ok := t.(*types.Pointer); ok {
 		return "(" + p.String() + ")(nil)"

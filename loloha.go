@@ -46,6 +46,13 @@ type Aggregator = longitudinal.Aggregator
 // implements it.
 type MergeableAggregator = longitudinal.MergeableAggregator
 
+// Tally is an aggregator's open-round state — support counts plus the
+// report count — with the ExportTally/ImportTally, merge and reset bodies
+// every aggregator in this repository shares. Embedding it gives an
+// external aggregator the snapshot contract (Stream.Snapshot, the
+// collector tree) for free.
+type Tally = longitudinal.Tally
+
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol
 
@@ -131,7 +138,7 @@ func NewDBitFlipPM(k, b, d int, epsInf float64) (Protocol, error) {
 
 // Stream is the collection service of the library: one configurable,
 // thread-safe, multi-round frequency-monitoring pipeline built with
-// functional options. It subsumes the deprecated Cohort/Collection pair:
+// functional options:
 //
 //	stream, _ := loloha.NewStream(proto,
 //	    loloha.WithShards(8),
@@ -139,8 +146,9 @@ func NewDBitFlipPM(k, b, d int, epsInf float64) (Protocol, error) {
 //	    loloha.WithHeavyHitters(loloha.HeavyHitterConfig{Threshold: 0.05}),
 //	)
 //	results := stream.Subscribe()
-//	// Wire path: stream.Enroll / stream.Ingest / stream.IngestBatch,
-//	// then stream.CloseRound() publishes a RoundResult to results.
+//	// Wire path: stream.Enroll / stream.Ingest / stream.IngestBatch /
+//	// stream.IngestColumnar, then stream.CloseRound() publishes a
+//	// RoundResult to results.
 //
 // Attach in-process simulation clients with WithCohort and drive complete
 // rounds with stream.Collect(values). Estimates are bit-identical across
@@ -155,26 +163,11 @@ type RoundResult = server.RoundResult
 // StreamOption configures a Stream.
 type StreamOption = server.Option
 
-// Decoder turns a round payload into a protocol report for an enrolled
-// user.
-type Decoder = server.Decoder
-
-// WireProtocol is a Protocol that supplies the decoder for its own wire
-// payloads. Implement it to plug an out-of-repository protocol into
-// Stream with no registration step; every protocol in this repository
-// implements it.
-type WireProtocol = longitudinal.WireProtocol
-
-// WireTallier tallies a steady-state round payload directly into an
-// aggregator — no intermediate Report value — so wire ingestion performs
-// zero allocations per report. Stream resolves it automatically from
-// protocols implementing TallyProtocol.
-type WireTallier = longitudinal.WireTallier
-
-// TallyProtocol is a Protocol whose payloads can be tallied in place.
-// Every protocol in this repository implements it; external protocols
-// may implement only WireProtocol (or register a Decoder) and take the
-// decode path instead, with bit-identical estimates.
+// TallyProtocol is a Protocol whose payloads can be tallied in place: its
+// WireTallier returns the ColumnarTallier that moves each payload's bits
+// straight into the round's support counts. It is the one ingestion
+// contract of Stream — every protocol in this repository implements it,
+// and NewStream rejects a protocol that does not.
 type TallyProtocol = longitudinal.TallyProtocol
 
 // ---------------------------------------------------------------------------
@@ -191,10 +184,10 @@ type ColumnarBatch = longitudinal.ColumnarBatch
 // keeps configuration and capacity for reuse across rounds.
 type ColumnarWriter = longitudinal.ColumnarWriter
 
-// ColumnarTallier is a WireTallier that also tallies fixed-stride payload
-// cells straight out of a columnar batch. Every protocol in this
-// repository provides one; external protocols without it still ingest
-// columnar batches through the per-report compatibility path.
+// ColumnarTallier tallies a protocol's fixed-stride payloads — loose or
+// packed in a columnar batch — straight into an aggregator, with zero
+// allocations per report: PayloadStride is the payload size and TallyCell
+// adds one payload's report to the aggregator's current round.
 type ColumnarTallier = longitudinal.ColumnarTallier
 
 // NewColumnarWriter returns a writer for batches of stride-byte payload
@@ -210,7 +203,7 @@ func DecodeColumnar(src []byte, b *ColumnarBatch) error {
 }
 
 // ColumnarStrideOf returns the fixed payload size the protocol's tallier
-// expects per report, or false if the protocol has no ColumnarTallier.
+// expects per report, or false if the protocol is not a TallyProtocol.
 func ColumnarStrideOf(p Protocol) (int, bool) { return longitudinal.ColumnarStrideOf(p) }
 
 // SpecHashOf returns the stable hash of the protocol's normalized spec —
@@ -223,11 +216,8 @@ func SpecHashOf(p Protocol) uint64 { return longitudinal.SpecHashOf(p) }
 // rejects the whole batch without tallying any of its rows.
 var ErrColumnarMismatch = server.ErrColumnarMismatch
 
-// NewStream returns a collection service for the protocol. Ingestion is
-// resolved from the protocol itself — tallier first (TallyProtocol, the
-// zero-allocation path every built-in protocol provides), then a Decoder
-// via WireProtocol or the RegisterDecoder registry — unless WithDecoder
-// pins the stream to the decoder you supply.
+// NewStream returns a collection service for the protocol, which must
+// implement TallyProtocol (every built-in protocol does).
 func NewStream(proto Protocol, opts ...StreamOption) (*Stream, error) {
 	return server.NewStream(proto, opts...)
 }
@@ -236,10 +226,6 @@ func NewStream(proto Protocol, opts ...StreamOption) (*Stream, error) {
 // collection parallelism. 0 (the default) selects one shard per available
 // CPU; 1 fully serializes; negative counts are rejected at construction.
 func WithShards(shards int) StreamOption { return server.WithShards(shards) }
-
-// WithDecoder overrides payload decoding for protocols with a custom wire
-// format.
-func WithDecoder(dec Decoder) StreamOption { return server.WithDecoder(dec) }
 
 // WithPostProcess selects the estimate transform applied to every
 // RoundResult's Estimates (costs no privacy by Proposition 2.2); the
@@ -262,75 +248,6 @@ func WithRoundCapacity(n int) StreamOption { return server.WithRoundCapacity(n) 
 // deterministically from seed) so Collect can drive complete rounds from
 // raw values.
 func WithCohort(n int, seed uint64) StreamOption { return server.WithCohort(n, seed) }
-
-// RegisterDecoder associates a decoder factory with a protocol name, for
-// external protocols that cannot implement WireProtocol themselves. It is
-// a decoder-only shim over the unified family registry: RegisterFamily
-// additionally makes the protocol constructible from a ProtocolSpec.
-func RegisterDecoder(name string, mk func(Protocol) (Decoder, error)) {
-	server.RegisterDecoder(name, mk)
-}
-
-// ---------------------------------------------------------------------------
-// Cohort: deprecated pre-Stream simulation surface.
-
-// Cohort couples n protocol clients with one aggregator so applications
-// can drive a complete collection round with a single call.
-//
-// Deprecated: use NewStream with WithCohort; Collect returns a
-// RoundResult whose Raw field is this type's estimate slice.
-type Cohort struct {
-	stream *Stream
-}
-
-// NewCohort creates n clients (seeded deterministically from seed) and a
-// fresh aggregator for proto, collecting with one shard per available CPU.
-//
-// Deprecated: use NewStream(proto, WithCohort(n, seed)).
-func NewCohort(proto Protocol, n int, seed uint64) (*Cohort, error) {
-	return NewShardedCohort(proto, n, seed, longitudinal.DefaultShards())
-}
-
-// NewShardedCohort is NewCohort with an explicit collection parallelism.
-// shards <= 1 — including any negative value — selects the fully serial
-// path (NewStream, unlike this shim, rejects negative counts).
-//
-// Deprecated: use NewStream(proto, WithCohort(n, seed), WithShards(shards)).
-func NewShardedCohort(proto Protocol, n int, seed uint64, shards int) (*Cohort, error) {
-	if shards < 1 {
-		shards = 1
-	}
-	s, err := NewStream(proto, WithCohort(n, seed), WithShards(shards))
-	if err != nil {
-		return nil, err
-	}
-	return &Cohort{stream: s}, nil
-}
-
-// Stream returns the underlying Stream service.
-func (c *Cohort) Stream() *Stream { return c.stream }
-
-// N returns the cohort size.
-func (c *Cohort) N() int { return c.stream.CohortSize() }
-
-// Shards returns the cohort's effective collection parallelism.
-func (c *Cohort) Shards() int { return c.stream.CohortShards() }
-
-// Collect runs one collection round: values[u] is user u's current value.
-// It returns the round's frequency estimates.
-func (c *Cohort) Collect(values []int) ([]float64, error) {
-	res, err := c.stream.Collect(values)
-	if err != nil {
-		return nil, err
-	}
-	return res.Raw, nil
-}
-
-// PrivacySpent returns each user's longitudinal privacy loss ε̌ so far.
-func (c *Cohort) PrivacySpent() []float64 { return c.stream.PrivacySpent() }
-
-// MaxPrivacySpent returns the worst ε̌ across the cohort.
-func (c *Cohort) MaxPrivacySpent() float64 { return c.stream.MaxPrivacySpent() }
 
 // ---------------------------------------------------------------------------
 // One-shot oracles (§2.3) for non-longitudinal collections.
@@ -359,40 +276,9 @@ func NewSUE(k int, eps float64) (*UE, error) { return freqoracle.NewSUE(k, eps) 
 // NewOUE returns one-shot optimal unary encoding.
 func NewOUE(k int, eps float64) (*UE, error) { return freqoracle.NewOUE(k, eps) }
 
-// ---------------------------------------------------------------------------
-// Collection: deprecated pre-Stream wire surface.
-
-// Collection is the deprecated pre-Stream wire-level collection service:
-// the same engine as Stream with []float64 results instead of RoundResult.
-//
-// Deprecated: use Stream.
-type Collection = server.Collection
-
 // Registration is a user's one-time enrollment metadata (LOLOHA hash seed
 // or dBitFlipPM sampled buckets).
 type Registration = server.Registration
-
-// NewCollection returns a collection service for the protocol, selecting
-// the matching payload decoder automatically. Ingestion is striped over
-// one shard per available CPU.
-//
-// Deprecated: use NewStream(proto).
-func NewCollection(proto Protocol) (*Collection, error) {
-	return NewShardedCollection(proto, longitudinal.DefaultShards())
-}
-
-// NewShardedCollection is NewCollection with an explicit ingestion stripe
-// count. shards <= 1 — including any negative value — fully serializes
-// the service (NewStream, unlike this shim, rejects negative counts).
-//
-// Deprecated: use NewStream(proto, WithShards(shards)).
-func NewShardedCollection(proto Protocol, shards int) (*Collection, error) {
-	dec, err := server.ForProtocol(proto)
-	if err != nil {
-		return nil, err
-	}
-	return server.NewSharded(proto, dec, shards), nil
-}
 
 // ---------------------------------------------------------------------------
 // Domain helpers.

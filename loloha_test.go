@@ -56,12 +56,12 @@ func TestCohortEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cohort, err := NewCohort(proto, n, 7)
+	cohort, err := NewStream(proto, WithCohort(n, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cohort.N() != n {
-		t.Fatalf("N = %d", cohort.N())
+	if cohort.CohortSize() != n {
+		t.Fatalf("CohortSize = %d", cohort.CohortSize())
 	}
 	values := make([]int, n)
 	for u := range values {
@@ -69,10 +69,11 @@ func TestCohortEndToEnd(t *testing.T) {
 	}
 	var est []float64
 	for round := 0; round < 3; round++ {
-		est, err = cohort.Collect(values)
+		res, err := cohort.Collect(values)
 		if err != nil {
 			t.Fatal(err)
 		}
+		est = res.Raw
 	}
 	for v := 0; v < 4; v++ {
 		if math.Abs(est[v]-0.25) > 0.05 {
@@ -88,7 +89,7 @@ func TestCohortEndToEnd(t *testing.T) {
 
 func TestCohortPrivacyAccounting(t *testing.T) {
 	proto, _ := NewBiLOLOHA(100, 1.0, 0.5)
-	cohort, _ := NewCohort(proto, 50, 3)
+	cohort, _ := NewStream(proto, WithCohort(50, 3))
 	values := make([]int, 50)
 	for round := 0; round < 10; round++ {
 		for u := range values {
@@ -114,10 +115,10 @@ func TestCohortPrivacyAccounting(t *testing.T) {
 
 func TestCohortValidation(t *testing.T) {
 	proto, _ := NewBiLOLOHA(10, 1, 0.5)
-	if _, err := NewCohort(proto, 0, 1); err == nil {
+	if _, err := NewStream(proto, WithCohort(0, 1)); err == nil {
 		t.Error("empty cohort accepted")
 	}
-	cohort, _ := NewCohort(proto, 3, 1)
+	cohort, _ := NewStream(proto, WithCohort(3, 1))
 	if _, err := cohort.Collect([]int{1, 2}); err == nil {
 		t.Error("mismatched values accepted")
 	}
@@ -147,8 +148,8 @@ func TestLOLOHABeatsRAPPORBudgetOnChurn(t *testing.T) {
 	const k, n, tau = 64, 30, 200
 	lol, _ := NewBiLOLOHA(k, 1.0, 0.5)
 	rap, _ := NewRAPPOR(k, 1.0, 0.5)
-	cl, _ := NewCohort(lol, n, 1)
-	cr, _ := NewCohort(rap, n, 1)
+	cl, _ := NewStream(lol, WithCohort(n, 1))
+	cr, _ := NewStream(rap, WithCohort(n, 1))
 	values := make([]int, n)
 	for round := 0; round < tau; round++ {
 		for u := range values {

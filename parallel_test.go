@@ -37,18 +37,18 @@ func parallelProtos(t *testing.T, k int) map[string]loloha.Protocol {
 func TestShardedCollectMatchesSerial(t *testing.T) {
 	const k, n, rounds, seed = 24, 700, 3, 11
 	for name, proto := range parallelProtos(t, k) {
-		serial, err := loloha.NewShardedCohort(proto, n, seed, 1)
+		serial, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(1))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		sharded, err := loloha.NewShardedCohort(proto, n, seed, 8)
+		sharded, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(8))
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		if got := serial.Shards(); got != 1 {
+		if got := serial.CohortShards(); got != 1 {
 			t.Fatalf("%s: serial cohort has %d shards", name, got)
 		}
-		if got := sharded.Shards(); got != 8 {
+		if got := sharded.CohortShards(); got != 8 {
 			t.Fatalf("%s: sharded cohort has %d shards, want 8", name, got)
 		}
 		values := make([]int, n)
@@ -56,14 +56,15 @@ func TestShardedCollectMatchesSerial(t *testing.T) {
 			for u := range values {
 				values[u] = (u*7 + round*13) % k // churn
 			}
-			want, err := serial.Collect(values)
+			wantRes, err := serial.Collect(values)
 			if err != nil {
 				t.Fatalf("%s: serial round %d: %v", name, round, err)
 			}
-			got, err := sharded.Collect(values)
+			gotRes, err := sharded.Collect(values)
 			if err != nil {
 				t.Fatalf("%s: sharded round %d: %v", name, round, err)
 			}
+			got, want := gotRes.Raw, wantRes.Raw
 			if len(got) != len(want) {
 				t.Fatalf("%s: estimate lengths differ: %d vs %d", name, len(got), len(want))
 			}
@@ -85,8 +86,8 @@ func TestShardedCohortPrivacyMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, _ := loloha.NewShardedCohort(proto, n, seed, 1)
-	sharded, _ := loloha.NewShardedCohort(proto, n, seed, 6)
+	serial, _ := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(1))
+	sharded, _ := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(6))
 	values := make([]int, n)
 	for round := 0; round < 5; round++ {
 		for u := range values {
@@ -113,23 +114,23 @@ func TestShardedCohortClampsShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	// More shards than users: clamped, still correct.
-	cohort, err := loloha.NewShardedCohort(proto, 3, 1, 64)
+	cohort, err := loloha.NewStream(proto, loloha.WithCohort(3, 1), loloha.WithShards(64))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := cohort.Shards(); got > 3 {
+	if got := cohort.CohortShards(); got > 3 {
 		t.Errorf("shards = %d for 3 users", got)
 	}
 	if _, err := cohort.Collect([]int{0, 1, 2}); err != nil {
 		t.Fatal(err)
 	}
-	// Default constructor picks up parallelism automatically.
-	def, err := loloha.NewCohort(proto, 100, 1)
+	// The default shard count picks up parallelism automatically.
+	def, err := loloha.NewStream(proto, loloha.WithCohort(100, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if def.Shards() < 1 {
-		t.Errorf("default cohort shards = %d", def.Shards())
+	if def.CohortShards() < 1 {
+		t.Errorf("default cohort shards = %d", def.CohortShards())
 	}
 }
 
@@ -141,11 +142,11 @@ func TestShardedCollectionServiceMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	serial, err := loloha.NewShardedCollection(proto, 1)
+	serial, err := loloha.NewStream(proto, loloha.WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	striped, err := loloha.NewShardedCollection(proto, 8)
+	striped, err := loloha.NewStream(proto, loloha.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +179,8 @@ func TestShardedCollectionServiceMatchesSerial(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		want := serial.CloseRound()
-		got := striped.CloseRound()
+		want := serial.CloseRound().Raw
+		got := striped.CloseRound().Raw
 		for v := range want {
 			if got[v] != want[v] {
 				t.Fatalf("round %d est[%d]: striped %v vs serial %v", round, v, got[v], want[v])

@@ -23,8 +23,8 @@ import (
 // the family's declared parameter domains before constructing.
 type ProtocolSpec = longitudinal.ProtocolSpec
 
-// FamilyInfo describes one registered protocol family: its builder, its
-// wire-payload decoder factory and the spec fields it consumes.
+// FamilyInfo describes one registered protocol family: its builder and
+// the spec fields it consumes.
 type FamilyInfo = longitudinal.FamilyInfo
 
 // SpecField names one ProtocolSpec parameter inside a FamilyInfo's
@@ -47,11 +47,11 @@ const (
 // configurations. Every protocol in this repository implements it.
 type SpecProtocol = longitudinal.SpecProtocol
 
-// RegisterFamily associates a protocol family name with its builder,
-// decoder factory and parameter domains. One registration makes the family
+// RegisterFamily associates a protocol family name with its builder and
+// parameter domains. One registration makes the family
 // constructible from a ProtocolSpec everywhere a built-in is: Stream
 // serving, simulation grids and the CLI. Registering an existing name
-// replaces the entry; a zero FamilyInfo removes it.
+// replaces the entry; a FamilyInfo without a Build removes it.
 func RegisterFamily(name string, info FamilyInfo) {
 	longitudinal.RegisterFamily(name, info)
 }

@@ -244,15 +244,3 @@ func TestSpecParseStrictness(t *testing.T) {
 		t.Fatalf("array list: %v %v", specs, err)
 	}
 }
-
-func TestSpecDecoderOnlyFamilyNotBuildable(t *testing.T) {
-	const fam = "spec-decoder-only"
-	loloha.RegisterDecoder(fam, func(p loloha.Protocol) (loloha.Decoder, error) {
-		return histDecoder{k: p.K()}, nil
-	})
-	defer loloha.RegisterDecoder(fam, nil)
-	_, err := loloha.ProtocolSpec{Family: fam, K: 4}.Build()
-	if err == nil || !strings.Contains(err.Error(), "decoder-only") {
-		t.Fatalf("decoder-only family build error = %v, want decoder-only mention", err)
-	}
-}

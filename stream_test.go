@@ -1,7 +1,6 @@
 // Tests for the Stream collection service: parity across every ingestion
 // path and shard count, the options surface, round subscriptions, batch
-// ingest, and the open (WireProtocol / registry) decoder resolution that
-// replaced the closed ForProtocol type-switch.
+// ingest, and a fuzzed tally path for every registered family.
 package loloha_test
 
 import (
@@ -10,6 +9,7 @@ import (
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
+	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
 // registrationFor extracts a client's enrollment metadata the way a
@@ -27,11 +27,10 @@ func registrationFor(t *testing.T, cl loloha.Client) loloha.Registration {
 	}
 }
 
-// TestStreamParityAllPathsAllFamilies is the acceptance gate of the API
-// redesign: for every protocol family, estimates from the new Stream —
-// any shard count, batch or per-report ingest — are bit-identical to the
-// legacy Collection path and to direct in-memory aggregation at the same
-// seed.
+// TestStreamParityAllPathsAllFamilies: for every protocol family,
+// estimates from a Stream — any shard count, batch or per-report ingest —
+// are bit-identical to direct in-memory aggregation (Client.Report into
+// Aggregator.Add) at the same seed.
 func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 	const k, n, rounds = 24, 600, 3
 	protos := map[string]func() (loloha.Protocol, error){
@@ -43,10 +42,6 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 	for name, mk := range protos {
 		t.Run(name, func(t *testing.T) {
 			proto, err := mk()
-			if err != nil {
-				t.Fatal(err)
-			}
-			legacy, err := loloha.NewShardedCollection(proto, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -66,9 +61,6 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 			for u := range clients {
 				clients[u] = proto.NewClient(uint64(u)*2654435761 + 7)
 				reg := registrationFor(t, clients[u])
-				if err := legacy.Enroll(u, reg); err != nil {
-					t.Fatal(err)
-				}
 				for _, s := range streams {
 					if err := s.Enroll(u, reg); err != nil {
 						t.Fatal(err)
@@ -83,14 +75,8 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 					direct.Add(u, rep)
 					userIDs[u] = u
 					payloads[u] = rep.AppendBinary(nil)
-					if err := legacy.Ingest(u, payloads[u]); err != nil {
-						t.Fatal(err)
-					}
 				}
 				want := direct.EndRound()
-				if got := legacy.CloseRound(); !equalFloats(got, want) {
-					t.Fatalf("round %d: legacy Collection diverged from direct aggregation", round)
-				}
 				for label, s := range streams {
 					if label == "shards=1/batch=true" || label == "shards=8/batch=true" {
 						if err := s.IngestBatch(userIDs, payloads); err != nil {
@@ -131,19 +117,21 @@ func equalFloats(a, b []float64) bool {
 	return true
 }
 
-// TestStreamCohortMatchesLegacyCohort: the deprecated Cohort shim and a
-// Stream built with WithCohort are the same engine; both must match for
-// every shard count.
+// TestStreamCohortMatchesLegacyCohort: a sharded Stream cohort (WithCohort)
+// matches the plain cohort loop — the same n clients, each reporting
+// through Client.Report into one bare aggregator — in estimates and in
+// every client's privacy ledger.
 func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 	const k, n, seed = 20, 500, 9
 	proto, err := loloha.NewOLOLOHA(k, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy, err := loloha.NewShardedCohort(proto, n, seed, 1)
-	if err != nil {
-		t.Fatal(err)
+	legacy := make([]loloha.Client, n)
+	for u := range legacy {
+		legacy[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
 	}
+	agg := proto.NewAggregator()
 	stream, err := loloha.NewStream(proto, loloha.WithCohort(n, seed), loloha.WithShards(8))
 	if err != nil {
 		t.Fatal(err)
@@ -156,10 +144,10 @@ func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 		for u := range values {
 			values[u] = (u*3 + round*11) % k
 		}
-		want, err := legacy.Collect(values)
-		if err != nil {
-			t.Fatal(err)
+		for u, cl := range legacy {
+			agg.Add(u, cl.Report(values[u]))
 		}
+		want := agg.EndRound()
 		res, err := stream.Collect(values)
 		if err != nil {
 			t.Fatal(err)
@@ -171,8 +159,10 @@ func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 			t.Fatalf("round %d: reports=%d, want %d", round, res.Reports, n)
 		}
 	}
-	if legacy.MaxPrivacySpent() != stream.MaxPrivacySpent() {
-		t.Fatalf("privacy ledgers diverged: %v vs %v", legacy.MaxPrivacySpent(), stream.MaxPrivacySpent())
+	for u, spent := range stream.PrivacySpent() {
+		if want := legacy[u].PrivacySpent(); spent != want {
+			t.Fatalf("user %d: privacy ledgers diverged: %v vs %v", u, spent, want)
+		}
 	}
 }
 
@@ -455,47 +445,129 @@ func TestStreamConcurrentEnrollIngestSubscribe(t *testing.T) {
 	}
 }
 
-// FuzzStreamIngestBatch: arbitrary batch payloads — truncated, trailing,
-// garbage — must either tally or error, never panic, and never corrupt
-// the round accounting.
-func FuzzStreamIngestBatch(f *testing.F) {
-	f.Add([]byte{}, []byte{0x01})
-	f.Add([]byte{0x00}, []byte{0xFF, 0xFF, 0xFF})
-	f.Add([]byte{0x01, 0x00, 0x00, 0x00}, []byte{0x01, 0x02, 0x03, 0x04, 0x05})
-	proto, err := loloha.NewRAPPOR(24, 2, 1)
-	if err != nil {
-		f.Fatal(err)
+// fuzzSpec returns a small feasible spec for a registered family.
+func fuzzSpec(family string) loloha.ProtocolSpec {
+	switch family {
+	case "dBitFlipPM":
+		return loloha.ProtocolSpec{Family: family, K: 24, B: 8, D: 3, EpsInf: 2}
+	case "1BitFlipPM", "bBitFlipPM":
+		return loloha.ProtocolSpec{Family: family, K: 24, B: 8, EpsInf: 2}
+	case "LOLOHA":
+		return loloha.ProtocolSpec{Family: family, K: 24, G: 3, EpsInf: 2, Eps1: 1}
+	default:
+		return loloha.ProtocolSpec{Family: family, K: 24, EpsInf: 2, Eps1: 1}
 	}
-	f.Fuzz(func(t *testing.T, a, b []byte) {
+}
+
+// joinedErrors counts the errors joined into err.
+func joinedErrors(err error) int {
+	if err == nil {
+		return 0
+	}
+	if j, ok := err.(interface{ Unwrap() []error }); ok {
+		return len(j.Unwrap())
+	}
+	return 1
+}
+
+// FuzzStreamIngestBatch drives every registered family's tally path with
+// hostile input: an arbitrary enrollment (hash seed and sampled buckets)
+// for two users and arbitrary payloads, through Ingest, IngestBatch or
+// IngestColumnar (whose registration columns do the enrolling). It must
+// never panic, the published report count must agree with the errors
+// returned (one per rejected report), and the stream must keep accepting
+// work afterwards — a shard left locked by a failed tally would hang the
+// follow-up round.
+func FuzzStreamIngestBatch(f *testing.F) {
+	f.Add(uint8(0), uint8(1), uint64(7), []byte{0, 1, 2}, []byte{}, []byte{0x01})
+	f.Add(uint8(3), uint8(0), uint64(1), []byte{}, []byte{0x00}, []byte{0xFF, 0xFF, 0xFF})
+	f.Add(uint8(9), uint8(1), uint64(0), []byte{0, 1, 0x7F}, []byte{0x07}, []byte{0x05})
+	f.Add(uint8(10), uint8(2), uint64(0), []byte{0, 1, 0xFF}, []byte{0x07}, []byte{0x05})
+	f.Add(uint8(10), uint8(0), uint64(0), []byte{0, 1, 2, 3}, []byte{0x07}, []byte{0x05})
+	f.Add(uint8(6), uint8(2), uint64(99), []byte{}, []byte{0x01}, []byte{0x09})
+	families := loloha.Families()
+	protos := make([]loloha.Protocol, len(families))
+	for i, family := range families {
+		p, err := fuzzSpec(family).Build()
+		if err != nil {
+			f.Fatalf("%s: %v", family, err)
+		}
+		protos[i] = p
+	}
+	f.Fuzz(func(t *testing.T, fam, mode uint8, seed uint64, buckets, a, b []byte) {
+		proto := protos[int(fam)%len(protos)]
 		stream, err := loloha.NewStream(proto, loloha.WithShards(2))
 		if err != nil {
 			t.Fatal(err)
 		}
-		for u := 0; u < 2; u++ {
-			if err := stream.Enroll(u, loloha.Registration{}); err != nil {
-				t.Fatal(err)
+		reg := loloha.Registration{HashSeed: seed}
+		for _, x := range buckets {
+			if mode%3 == 2 {
+				reg.Sampled = append(reg.Sampled, int(x)) // columnar buckets are unsigned
+			} else {
+				reg.Sampled = append(reg.Sampled, int(int8(x)))
 			}
 		}
-		batchErr := stream.IngestBatch([]int{0, 1}, [][]byte{a, b})
+		ids, payloads := []int{0, 1}, [][]byte{a, b}
+		var errs int
+		switch mode % 3 {
+		case 0:
+			for i, u := range ids {
+				if err := stream.Enroll(u, reg); err != nil {
+					t.Fatal(err)
+				}
+				if stream.Ingest(u, payloads[i]) != nil {
+					errs++
+				}
+			}
+		case 1:
+			for _, u := range ids {
+				if err := stream.Enroll(u, reg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			errs = joinedErrors(stream.IngestBatch(ids, payloads))
+		case 2:
+			stride, _ := loloha.ColumnarStrideOf(proto)
+			w, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := w.WithRegistrations(len(reg.Sampled)); err != nil {
+				t.Skip("registration shape not encodable")
+			}
+			for i, u := range ids {
+				cell := append(append([]byte(nil), payloads[i]...), make([]byte, stride)...)[:stride]
+				if err := w.AddWithRegistration(u, cell, reg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var batch loloha.ColumnarBatch
+			if err := loloha.DecodeColumnar(w.AppendTo(nil), &batch); err != nil {
+				t.Fatal(err)
+			}
+			errs = joinedErrors(stream.IngestColumnar(&batch))
+		}
 		res := stream.CloseRound()
-		if len(res.Raw) != 24 {
-			t.Fatalf("round published %d estimates, want 24", len(res.Raw))
+		if res.Reports+errs != len(ids) {
+			t.Fatalf("%s mode %d: %d reports tallied and %d rejected, want %d in all",
+				proto.Name(), mode%3, res.Reports, errs, len(ids))
 		}
-		// A 24-bit UE payload is exactly 3 bytes; anything else must have
-		// been rejected and the accounting must agree with the error.
-		want := 0
-		if len(a) == 3 {
-			want++
+
+		// The stream still takes work on every shard: genuine users
+		// enroll and report into the next round.
+		const genuine = 16
+		for u := 2; u < 2+genuine; u++ {
+			cl := proto.NewClient(uint64(u)).(loloha.AppendReporter)
+			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
+				t.Fatal(err)
+			}
+			if err := stream.Ingest(u, cl.AppendReport(nil, u)); err != nil {
+				t.Fatalf("%s: genuine report after a hostile round: %v", proto.Name(), err)
+			}
 		}
-		if len(b) == 3 {
-			want++
-		}
-		if res.Reports != want {
-			t.Fatalf("tallied %d reports from payload lengths %d,%d (want %d; err=%v)",
-				res.Reports, len(a), len(b), want, batchErr)
-		}
-		if want < 2 && batchErr == nil {
-			t.Fatal("malformed payload tallied without error")
+		if got := stream.CloseRound().Reports; got != genuine {
+			t.Fatalf("%s: follow-up round tallied %d reports, want %d", proto.Name(), got, genuine)
 		}
 	})
 }
