@@ -31,7 +31,7 @@ func (p *histBase) SteadyReportBits() int { return 8 }
 
 func (p *histBase) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
 func (p *histBase) NewAggregator() loloha.Aggregator {
-	return &histAgg{k: p.k, Tally: loloha.Tally{Counts: make([]int64, p.k)}}
+	return &histAgg{k: p.k, Tally: loloha.NewTally(p.k)}
 }
 
 // histProto adds WireTallier, making the protocol streamable.
@@ -77,7 +77,7 @@ func (t histTallier) TallyCell(agg loloha.Aggregator, _ int, cell []byte, _ lolo
 	if v >= t.k {
 		return fmt.Errorf("ext-hist: value %d outside [0,%d)", v, t.k)
 	}
-	a.Counts[v]++
+	a.AddIndex(v)
 	a.N++
 	return nil
 }
@@ -89,13 +89,13 @@ type histAgg struct {
 	k int
 }
 
-func (a *histAgg) Add(userID int, rep loloha.Report) { a.Counts[rep.(histReport).v]++; a.N++ }
+func (a *histAgg) Add(userID int, rep loloha.Report) { a.AddIndex(rep.(histReport).v); a.N++ }
 func (a *histAgg) EstimateDomain() int               { return a.k }
 func (a *histAgg) EndRound() []float64 {
 	defer a.Reset()
 	est := make([]float64, a.k)
 	if a.N > 0 {
-		for v, c := range a.Counts {
+		for v, c := range a.Counts() {
 			est[v] = float64(c) / float64(a.N)
 		}
 	}

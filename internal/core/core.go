@@ -21,6 +21,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/hashfamily"
@@ -75,9 +76,10 @@ func WithExactIRRCalibration() Option {
 	return func(c *config) { c.exactIRR = true }
 }
 
-// WithoutSupportCache disables the aggregator's per-user hash table cache.
-// The cache trades n·k bytes of memory for replacing k hash evaluations
-// per report with k byte compares; disable it for huge cohorts.
+// WithoutSupportCache disables the aggregator's per-user hash cache. The
+// cache keeps ⌈log₂g⌉·k/8 bytes per user — each user's hash as packed
+// bit-planes — and replaces k hash evaluations per report with
+// ⌈log₂g⌉·k/64 word operations; disable it for huge cohorts.
 func WithoutSupportCache() Option {
 	return func(c *config) { c.cacheSupport = false }
 }
@@ -314,12 +316,18 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 
 // Aggregator collects one round of LOLOHA reports and estimates the k-bin
 // histogram. It registers each user's hash function the first time it sees
-// the user and (optionally) caches the user's full hash table.
+// the user and (optionally) caches it as bit-planes: plane b holds bit b of
+// H_u(v) at position v, so the support row {v : H_u(v) = x} of a report x
+// is the AND over planes of plane b XNOR bit b of x — k/64 words per plane
+// instead of k hash evaluations or byte compares.
 type Aggregator struct {
 	longitudinal.Tally
-	proto  *Protocol
-	hashes map[int]hashfamily.Hash
-	tables map[int][]uint8 // userID -> H_u(v) for all v, if caching
+	proto    *Protocol
+	hashBits int                     // ⌈log₂ g⌉: bit-planes per user
+	hashes   map[int]hashfamily.Hash // userID -> H_u, without the cache
+	slots    map[int]int32           // userID -> the user's slot in masks, with the cache
+	masks    []uint64                // slot s holds its planes at [s·hashBits·len(row), …), plane by plane
+	row      []uint64                // AddReport's support-row scratch
 }
 
 // NewAggregator implements longitudinal.Protocol.
@@ -330,12 +338,15 @@ func (p *Protocol) NewAggregator() longitudinal.Aggregator {
 // NewServer returns an Aggregator with its concrete type.
 func (p *Protocol) NewServer() *Aggregator {
 	a := &Aggregator{
-		Tally:  longitudinal.Tally{Counts: make([]int64, p.k)},
-		proto:  p,
-		hashes: make(map[int]hashfamily.Hash),
+		Tally:    longitudinal.NewTally(p.k),
+		proto:    p,
+		hashBits: p.SteadyReportBits(),
+		row:      make([]uint64, longitudinal.RowWords(p.k)),
 	}
 	if p.cacheSupport {
-		a.tables = make(map[int][]uint8)
+		a.slots = make(map[int]int32)
+	} else {
+		a.hashes = make(map[int]hashfamily.Hash)
 	}
 	return a
 }
@@ -350,29 +361,30 @@ func (a *Aggregator) Add(userID int, rep longitudinal.Report) {
 	a.AddReport(userID, r)
 }
 
-// AddReport is Add with a concrete report type.
+// AddReport is Add with a concrete report type: it builds the report's
+// support row and adds it to the tally.
 //
 //loloha:noalloc
 func (a *Aggregator) AddReport(userID int, r Report) {
 	if r.X < 0 || r.X >= a.proto.g {
 		panic(fmt.Sprintf("core: LOLOHA report %d outside [0,%d)", r.X, a.proto.g))
 	}
-	x := uint8(r.X)
-	if a.tables != nil {
-		table, ok := a.tables[userID]
-		//loloha:alloc-ok cold: the per-user hash table is built once, on first report
+	row := a.row
+	if a.slots != nil {
+		slot, ok := a.slots[userID]
+		//loloha:alloc-ok cold: the user's hash planes are built once, on first report
 		if !ok {
-			h := a.proto.family.FromSeed(r.HashSeed)
-			table = make([]uint8, a.proto.k)
-			for v := range table {
-				table[v] = uint8(h.Index(v))
-			}
-			a.tables[userID] = table
+			slot = a.addPlanes(userID, r.HashSeed)
 		}
-		for v, hv := range table {
-			if hv == x {
-				a.Counts[v]++
+		nw := len(row)
+		planes := a.masks[int(slot)*a.hashBits*nw:][:a.hashBits*nw]
+		for w := range row {
+			support := ^uint64(0)
+			for b := 0; b < a.hashBits; b++ {
+				// XNOR: the positions whose hash bit b equals x's.
+				support &= planes[b*nw+w] ^ (uint64(r.X>>b&1) - 1)
 			}
+			row[w] = support
 		}
 	} else {
 		h, ok := a.hashes[userID]
@@ -381,13 +393,35 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 			h = a.proto.family.FromSeed(r.HashSeed)
 			a.hashes[userID] = h
 		}
+		clear(row)
 		for v := 0; v < a.proto.k; v++ {
 			if h.Index(v) == r.X {
-				a.Counts[v]++
+				row[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
 	}
+	a.AddRow(row)
 	a.N++
+}
+
+// addPlanes resolves the user's hash from its seed, appends its bit-planes
+// to masks and returns its slot.
+func (a *Aggregator) addPlanes(userID int, seed uint64) int32 {
+	h := a.proto.family.FromSeed(seed)
+	nw, stride := len(a.row), a.hashBits*len(a.row)
+	off := len(a.masks)
+	a.masks = slices.Grow(a.masks, stride)[:off+stride]
+	planes := a.masks[off:]
+	clear(planes)
+	for v := 0; v < a.proto.k; v++ {
+		hv := h.Index(v)
+		for b := 0; b < a.hashBits; b++ {
+			planes[b*nw+v>>6] |= uint64(hv>>b&1) << (uint(v) & 63)
+		}
+	}
+	slot := int32(off / stride)
+	a.slots[userID] = slot
+	return slot
 }
 
 // Fork implements longitudinal.MergeableAggregator.
@@ -410,7 +444,7 @@ func (a *Aggregator) Merge(other longitudinal.Aggregator) {
 // EndRound implements longitudinal.Aggregator: Eq. (3) with q′₁ = 1/g.
 func (a *Aggregator) EndRound() []float64 {
 	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts, a.N)
+	return a.proto.params.EstimateAllL(a.Counts(), a.N)
 }
 
 // EstimateDomain implements longitudinal.Aggregator.

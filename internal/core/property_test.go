@@ -72,7 +72,7 @@ func TestQuickAggregatorCountsBounded(t *testing.T) {
 			agg.AddReport(u, cl.ReportValue(int(s)%k))
 		}
 		n := int64(len(seeds))
-		for _, c := range agg.Counts {
+		for _, c := range agg.Counts() {
 			if c < 0 || c > n {
 				return false
 			}

@@ -9,15 +9,15 @@ import (
 
 // Snapshot-contract assertion (wirecontract): the LOLOHA aggregator's
 // round state is the embedded longitudinal.Tally like every other
-// family's — its per-user hash and table caches are pure functions of the
+// family's — its per-user hashes and bit-planes are pure functions of the
 // enrolled hash seeds and rebuild lazily after a restore, so they are
 // deliberately not exported.
 var _ longitudinal.SnapshotTallier = (*Aggregator)(nil)
 
 // WireTallier implements longitudinal.TallyProtocol: LOLOHA payloads tally
 // directly into the aggregator's support counts, with no Report
-// materialized and zero steady-state allocations (the per-user hash table
-// is built once, on the user's first report).
+// materialized and zero steady-state allocations (the user's hash
+// bit-planes are built once, on the user's first report).
 func (p *Protocol) WireTallier() longitudinal.ColumnarTallier { return wireTallier{proto: p} }
 
 type wireTallier struct{ proto *Protocol }
@@ -28,8 +28,8 @@ type wireTallier struct{ proto *Protocol }
 func (t wireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.proto.g) }
 
 // TallyCell implements longitudinal.ColumnarTallier: parse the sanitized
-// hash cell (with its range check) and run the Algorithm 2 support loop
-// against the user's registered hash.
+// hash cell (with its range check) and add its Algorithm 2 support row,
+// built from the user's registered hash.
 //
 //loloha:noalloc
 func (t wireTallier) TallyCell(agg longitudinal.Aggregator, userID int, cell []byte, reg longitudinal.Registration) error {

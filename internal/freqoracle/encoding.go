@@ -144,33 +144,23 @@ func CheckUEPayload(src []byte, k int) error {
 	return nil
 }
 
-// AccumulateUEPayload adds each bit of a validated k-bit UE payload (as
-// 0/1) into counts, which must have length at least k, without decoding
-// into a Bitset. Callers validate with CheckUEPayload first; bits beyond k
-// must be zero.
+// UEPayloadWords loads a validated k-bit UE payload into dst as
+// little-endian 64-bit words: bit i of the payload lands at bit i%64 of
+// dst[i/64], the support-row layout of longitudinal.Tally.AddRow. dst must
+// hold (k+63)/64 words; callers validate src with CheckUEPayload first.
 //
 //loloha:noalloc
-func AccumulateUEPayload(src []byte, k int, counts []int64) {
-	nBytes := UEPayloadBytes(k)
+func UEPayloadWords(dst []uint64, src []byte) {
 	j := 0
-	for ; j+8 <= nBytes; j += 8 {
-		w := binary.LittleEndian.Uint64(src[j:])
-		base := j * 8
-		for w != 0 {
-			i := bits.TrailingZeros64(w)
-			counts[base+i]++
-			w &= w - 1
+	for ; j+8 <= len(src); j += 8 {
+		dst[j/8] = binary.LittleEndian.Uint64(src[j:])
+	}
+	if j < len(src) {
+		var w uint64
+		for t := j; t < len(src); t++ {
+			w |= uint64(src[t]) << (8 * uint(t-j))
 		}
-	}
-	var w uint64
-	for t := j; t < nBytes; t++ {
-		w |= uint64(src[t]) << (8 * uint(t-j))
-	}
-	base := j * 8
-	for w != 0 {
-		i := bits.TrailingZeros64(w)
-		counts[base+i]++
-		w &= w - 1
+		dst[j/8] = w
 	}
 }
 

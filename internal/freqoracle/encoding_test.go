@@ -1,6 +1,7 @@
 package freqoracle
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -146,7 +147,7 @@ func TestParseGRRPayloadStrict(t *testing.T) {
 	}
 }
 
-func TestCheckAndAccumulateUEPayload(t *testing.T) {
+func TestCheckUEPayloadAndWords(t *testing.T) {
 	for _, k := range []int{5, 8, 24, 64, 67, 130} {
 		bs := bitset.New(k)
 		for i := 0; i < k; i += 3 {
@@ -156,17 +157,13 @@ func TestCheckAndAccumulateUEPayload(t *testing.T) {
 		if err := CheckUEPayload(payload, k); err != nil {
 			t.Fatalf("k=%d: valid payload rejected: %v", k, err)
 		}
-		counts := make([]int64, k)
-		AccumulateUEPayload(payload, k, counts)
-		AccumulateUEPayload(payload, k, counts) // accumulation adds, not assigns
-		for i := range counts {
-			want := int64(0)
-			if i%3 == 0 {
-				want = 2
-			}
-			if counts[i] != want {
-				t.Fatalf("k=%d counts[%d] = %d, want %d", k, i, counts[i], want)
-			}
+		words := make([]uint64, (k+63)/64)
+		for i := range words {
+			words[i] = ^uint64(0) // every word is overwritten
+		}
+		UEPayloadWords(words, payload)
+		if !slices.Equal(words, bs.Words()) {
+			t.Fatalf("k=%d: payload words %x, want %x", k, words, bs.Words())
 		}
 		if err := CheckUEPayload(payload[:len(payload)-1], k); err == nil {
 			t.Errorf("k=%d: short payload accepted", k)

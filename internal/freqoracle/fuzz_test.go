@@ -3,6 +3,7 @@ package freqoracle
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -65,22 +66,16 @@ func FuzzCheckUEPayload(f *testing.F) {
 		if err := CheckUEPayload(data, k); err != nil {
 			return
 		}
-		// An accepted payload must accumulate within bounds and agree with
-		// the boxed decoder on every bit.
-		counts := make([]int64, k)
-		AccumulateUEPayload(data, k, counts)
+		// An accepted payload must load within bounds and agree with the
+		// boxed decoder on every word.
+		words := make([]uint64, (k+63)/64)
+		UEPayloadWords(words, data)
 		bs, _, err := DecodeUEReport(data, k)
 		if err != nil {
 			t.Fatalf("CheckUEPayload accepted what DecodeUEReport rejects: %v", err)
 		}
-		for i := 0; i < k; i++ {
-			want := int64(0)
-			if bs.Get(i) {
-				want = 1
-			}
-			if counts[i] != want {
-				t.Fatalf("bit %d: accumulated %d, decoded %d", i, counts[i], want)
-			}
+		if !slices.Equal(words, bs.Words()) {
+			t.Fatalf("payload words %x, decoded %x", words, bs.Words())
 		}
 	})
 }

@@ -342,11 +342,12 @@ func (r UEReport) AppendBinary(dst []byte) []byte {
 type chainUEAggregator struct {
 	Tally
 	proto *ChainUE
+	row   []uint64 // TallyCell's payload words
 }
 
 // NewAggregator implements Protocol.
 func (c *ChainUE) NewAggregator() Aggregator {
-	return &chainUEAggregator{proto: c, Tally: Tally{Counts: make([]int64, c.k)}}
+	return &chainUEAggregator{proto: c, Tally: NewTally(c.k), row: make([]uint64, RowWords(c.k))}
 }
 
 // Add implements Aggregator.
@@ -359,7 +360,7 @@ func (a *chainUEAggregator) Add(userID int, rep Report) {
 		panic(fmt.Sprintf("longitudinal: %s report has %d bits, want %d",
 			a.proto.name, ue.Bits.Len(), a.proto.k))
 	}
-	ue.Bits.AccumulateInto(a.Counts)
+	a.AddRow(ue.Bits.Words())
 	a.N++
 }
 
@@ -380,7 +381,7 @@ func (a *chainUEAggregator) Merge(other Aggregator) {
 // EndRound implements Aggregator.
 func (a *chainUEAggregator) EndRound() []float64 {
 	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts, a.N)
+	return a.proto.params.EstimateAllL(a.Counts(), a.N)
 }
 
 // EstimateDomain implements Aggregator.

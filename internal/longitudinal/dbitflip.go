@@ -295,7 +295,7 @@ type dBitAggregator struct {
 
 // NewAggregator implements Protocol.
 func (m *DBitFlipPM) NewAggregator() Aggregator {
-	return &dBitAggregator{proto: m, Tally: Tally{Counts: make([]int64, m.b)}}
+	return &dBitAggregator{proto: m, Tally: NewTally(m.b)}
 }
 
 // Add implements Aggregator.
@@ -310,7 +310,7 @@ func (a *dBitAggregator) Add(userID int, rep Report) {
 	}
 	for l, j := range d.Sampled {
 		if d.Bits[l] {
-			a.Counts[j]++
+			a.AddIndex(j)
 		}
 	}
 	a.N++
@@ -341,7 +341,7 @@ func (a *dBitAggregator) EndRound() []float64 {
 	}
 	nEff := float64(a.N) * float64(a.proto.d) / float64(a.proto.b)
 	den := nEff * (a.proto.p - a.proto.q)
-	for j, c := range a.Counts {
+	for j, c := range a.Counts() {
 		est[j] = (float64(c) - nEff*a.proto.q) / den
 	}
 	return est

@@ -163,7 +163,7 @@ type lgrrAggregator struct {
 
 // NewAggregator implements Protocol.
 func (m *LGRR) NewAggregator() Aggregator {
-	return &lgrrAggregator{proto: m, Tally: Tally{Counts: make([]int64, m.k)}}
+	return &lgrrAggregator{proto: m, Tally: NewTally(m.k)}
 }
 
 // Add implements Aggregator.
@@ -175,7 +175,7 @@ func (a *lgrrAggregator) Add(userID int, rep Report) {
 	if g.X < 0 || g.X >= a.proto.k {
 		panic(fmt.Sprintf("longitudinal: L-GRR report %d outside [0,%d)", g.X, a.proto.k))
 	}
-	a.Counts[g.X]++
+	a.AddIndex(g.X)
 	a.N++
 }
 
@@ -196,7 +196,7 @@ func (a *lgrrAggregator) Merge(other Aggregator) {
 // EndRound implements Aggregator.
 func (a *lgrrAggregator) EndRound() []float64 {
 	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts, a.N)
+	return a.proto.params.EstimateAllL(a.Counts(), a.N)
 }
 
 // EstimateDomain implements Aggregator.

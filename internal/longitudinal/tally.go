@@ -2,6 +2,7 @@ package longitudinal
 
 import (
 	"fmt"
+	"math/bits"
 
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 )
@@ -22,9 +23,124 @@ import (
 // the uninterrupted one. Everything else an aggregator holds (per-user
 // hash caches, lookup tables) is a pure function of enrollment metadata
 // and rebuilds lazily.
+//
+// Reports reach the counts two ways: AddIndex bumps one count, and AddRow
+// adds a whole 0/1 support row given as packed words. Rows go first into
+// eight bit-planes that hold an 8-bit counter per position, added
+// word-parallel with a ripple of carries; every 255 rows, and before
+// anything reads the counts, the planes drain into the int64 counts. A
+// row of k positions thus costs k/8 plane-word updates (k/64 words
+// through eight planes) instead of up to k scattered increments.
 type Tally struct {
-	Counts []int64
-	N      int
+	counts []int64
+	// N is the number of reports tallied this round; the tallier that
+	// adds a report's support increments it.
+	N int
+	// planes holds the rows not yet drained, word w of bit-plane p at
+	// planes[planeBits*w+p]; pending counts them.
+	planes  []uint64
+	pending int
+}
+
+// planeBits is the width of the per-position counters in Tally.planes;
+// they drain before they can overflow.
+const (
+	planeBits  = 8
+	drainEvery = 1<<planeBits - 1
+)
+
+// NewTally returns the zero round of a k-position tally.
+func NewTally(k int) Tally {
+	return Tally{counts: make([]int64, k), planes: make([]uint64, planeBits*RowWords(k))}
+}
+
+// RowWords returns the number of 64-bit words in a k-position support
+// row, the length AddRow takes.
+//
+//loloha:noalloc
+func RowWords(k int) int { return (k + 63) / 64 }
+
+// AddIndex adds one to the count at position i.
+//
+//loloha:noalloc
+func (t *Tally) AddIndex(i int) { t.counts[i]++ }
+
+// AddRow adds a 0/1 support row to the counts: bit i%64 of words[i/64]
+// (little-endian within a word) adds one at position i. words must hold
+// exactly RowWords(k) words; bits at positions k and beyond are ignored.
+// words is not retained or mutated.
+//
+//loloha:noalloc
+func (t *Tally) AddRow(words []uint64) {
+	nw := len(t.planes) / planeBits
+	if len(words) != nw {
+		panic(fmt.Sprintf("longitudinal: row of %d words, tally takes %d", len(words), nw))
+	}
+	last := words[nw-1] & tailMask(len(t.counts))
+	for w, carry := range words[:nw-1] {
+		addWord((*[planeBits]uint64)(t.planes[planeBits*w:]), carry)
+	}
+	addWord((*[planeBits]uint64)(t.planes[planeBits*(nw-1):]), last)
+	t.pending++
+	if t.pending == drainEvery {
+		t.drain()
+	}
+}
+
+// addWord adds the 0/1 bits of carry into the counters that plane holds
+// for one word of positions. The counters stay below 2^planeBits, so the
+// carry dies inside the planes. Every plane is visited: on dense rows the
+// carry of some position in the word survives to the upper planes, and a
+// data-dependent early exit mispredicts more than it saves.
+//
+//loloha:noalloc
+func addWord(plane *[planeBits]uint64, carry uint64) {
+	for p := range plane {
+		s := plane[p]
+		plane[p] = s ^ carry
+		carry &= s
+	}
+}
+
+// tailMask returns the mask of the valid positions in the last word of a
+// k-position row.
+//
+//loloha:noalloc
+func tailMask(k int) uint64 {
+	if k%64 == 0 {
+		return ^uint64(0)
+	}
+	return 1<<(uint(k)%64) - 1
+}
+
+// drain adds the rows pending in the planes into the counts and zeroes
+// the planes.
+//
+//loloha:noalloc
+func (t *Tally) drain() {
+	if t.pending == 0 {
+		return
+	}
+	for w := 0; w*planeBits < len(t.planes); w++ {
+		plane := t.planes[planeBits*w : planeBits*w+planeBits]
+		counts := t.counts[64*w:]
+		for p, x := range plane {
+			for x != 0 {
+				counts[bits.TrailingZeros64(x)] += 1 << p
+				x &= x - 1
+			}
+		}
+		clear(plane)
+	}
+	t.pending = 0
+}
+
+// Counts returns the round's support counts, with every added row
+// drained into them. The slice is the tally's own: read it, do not keep
+// it past the next add or Reset.
+func (t *Tally) Counts() []int64 {
+	t.drain()
+	return t.counts
 }
 
 // SnapshotTallier is an Aggregator whose open-round tallies can be
@@ -57,19 +173,19 @@ var (
 
 // ExportTally implements SnapshotTallier.
 func (t *Tally) ExportTally(dst []int64) ([]int64, int) {
-	return append(dst, t.Counts...), t.N
+	return append(dst, t.Counts()...), t.N
 }
 
 // ImportTally implements SnapshotTallier.
 func (t *Tally) ImportTally(counts []int64, n int) error {
-	if len(counts) != len(t.Counts) {
-		return fmt.Errorf("longitudinal: import has %d counts, aggregator tallies %d", len(counts), len(t.Counts))
+	if len(counts) != len(t.counts) {
+		return fmt.Errorf("longitudinal: import has %d counts, aggregator tallies %d", len(counts), len(t.counts))
 	}
 	if n < 0 {
 		return fmt.Errorf("longitudinal: import has negative report count %d", n)
 	}
 	for i, c := range counts {
-		t.Counts[i] += c
+		t.counts[i] += c
 	}
 	t.N += n
 	return nil
@@ -79,8 +195,8 @@ func (t *Tally) ImportTally(counts []int64, n int) error {
 // is the whole round-state transfer of every MergeableAggregator.Merge.
 // o must have t's tally length.
 func (t *Tally) Absorb(o *Tally) {
-	for i, c := range o.Counts {
-		t.Counts[i] += c
+	for i, c := range o.Counts() {
+		t.counts[i] += c
 	}
 	t.N += o.N
 	o.Reset()
@@ -88,7 +204,9 @@ func (t *Tally) Absorb(o *Tally) {
 
 // Reset zeroes the round; every EndRound runs it after estimating.
 func (t *Tally) Reset() {
-	clear(t.Counts)
+	clear(t.counts)
+	clear(t.planes)
+	t.pending = 0
 	t.N = 0
 }
 
@@ -143,9 +261,8 @@ type ueWireTallier struct{ k int }
 //loloha:noalloc
 func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.k) }
 
-// TallyCell implements ColumnarTallier: each set payload bit bumps one
-// support count straight from the payload bytes, after the trailing-bit
-// check.
+// TallyCell implements ColumnarTallier: after the trailing-bit check the
+// payload bytes load as the words of one support row.
 //
 //loloha:noalloc
 func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
@@ -156,7 +273,8 @@ func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registrat
 	if err := freqoracle.CheckUEPayload(cell, t.k); err != nil {
 		return err
 	}
-	freqoracle.AccumulateUEPayload(cell, t.k, a.Counts)
+	freqoracle.UEPayloadWords(a.row, cell)
+	a.AddRow(a.row)
 	a.N++
 	return nil
 }
@@ -187,7 +305,7 @@ func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registra
 	if err != nil {
 		return err
 	}
-	a.Counts[x]++
+	a.AddIndex(x)
 	a.N++
 	return nil
 }
@@ -206,9 +324,10 @@ type dbitWireTallier struct{ proto *DBitFlipPM }
 func (t dbitWireTallier) PayloadStride() int { return (t.proto.d + 7) / 8 }
 
 // TallyCell implements ColumnarTallier: each set payload bit bumps the
-// count of the user's enrolled sampled bucket at that slot. The
-// enrollment comes off the wire, so its shape is checked before anything
-// is tallied: exactly d sampled buckets, each in [0,b).
+// count of the user's enrolled sampled bucket at that slot. Enrollment and
+// payload come off the wire, so both are checked before anything is
+// tallied: the enrollment has exactly d sampled buckets, each in [0,b),
+// and the payload's padding bits past d are zero.
 //
 //loloha:noalloc
 func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Registration) error {
@@ -225,9 +344,12 @@ func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Regis
 			return fmt.Errorf("longitudinal: enrolled bucket %d outside [0,%d)", j, t.proto.b)
 		}
 	}
+	if err := freqoracle.CheckUEPayload(cell, t.proto.d); err != nil {
+		return err
+	}
 	for l, j := range reg.Sampled {
 		if cell[l/8]>>(uint(l)%8)&1 == 1 {
-			a.Counts[j]++
+			a.AddIndex(j)
 		}
 	}
 	a.N++

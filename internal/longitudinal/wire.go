@@ -41,9 +41,9 @@ func DecodeGRRValueReport(src []byte, k int) (GRRValueReport, []byte, error) {
 	return GRRValueReport{X: x, K: k}, rest, nil
 }
 
-// DecodeDBitReport reads a d-bit dBitFlipPM round payload. The sampled
-// bucket indices are the user's registration metadata; the returned report
-// aliases the given slice.
+// DecodeDBitReport reads a d-bit dBitFlipPM round payload, whose padding
+// bits past d must be zero. The sampled bucket indices are the user's
+// registration metadata; the returned report aliases the given slice.
 func DecodeDBitReport(src []byte, sampled []int) (DBitReport, []byte, error) {
 	d := len(sampled)
 	if d == 0 {
@@ -53,6 +53,9 @@ func DecodeDBitReport(src []byte, sampled []int) (DBitReport, []byte, error) {
 	if len(src) < nBytes {
 		return DBitReport{}, nil, fmt.Errorf("longitudinal: short dBit report: %d bytes, want %d",
 			len(src), nBytes)
+	}
+	if err := freqoracle.CheckUEPayload(src[:nBytes], d); err != nil {
+		return DBitReport{}, nil, err
 	}
 	bits := make([]bool, d)
 	for i := range bits {

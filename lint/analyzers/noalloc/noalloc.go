@@ -125,7 +125,7 @@ var trustTable = []trustRule{
 	{"internal/freqoracle", "", "DecodeLHReport"},
 	{"internal/freqoracle", "", "ParseGRRPayload"},
 	{"internal/freqoracle", "", "CheckUEPayload"},
-	{"internal/freqoracle", "", "AccumulateUEPayload"},
+	{"internal/freqoracle", "", "UEPayloadWords"},
 	{"internal/freqoracle", "", "GRRPayloadBytes"},
 	{"internal/freqoracle", "", "UEPayloadBytes"},
 	{"internal/freqoracle", "GRR", "Perturb"},
@@ -139,6 +139,9 @@ var trustTable = []trustRule{
 	// Contract interfaces of the longitudinal engine: implementations are
 	// required (by this analyzer, in their own packages) to be noalloc.
 	{"internal/longitudinal", "", "TallyPayload"},
+	// The round state's add surface, embedded by every aggregator.
+	{"internal/longitudinal", "Tally", "AddIndex"},
+	{"internal/longitudinal", "Tally", "AddRow"},
 	{"internal/longitudinal", "AppendReporter", "AppendReport"},
 	{"internal/longitudinal", "AppendReporter", "WireRegistration"},
 	// Columnar batch surface: the decoder reuses the batch's columns (the

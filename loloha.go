@@ -47,11 +47,18 @@ type Aggregator = longitudinal.Aggregator
 type MergeableAggregator = longitudinal.MergeableAggregator
 
 // Tally is an aggregator's open-round state — support counts plus the
-// report count — with the ExportTally/ImportTally, merge and reset bodies
-// every aggregator in this repository shares. Embedding it gives an
-// external aggregator the snapshot contract (Stream.Snapshot, the
-// collector tree) for free.
+// report count N — with the ExportTally/ImportTally, merge (Absorb) and
+// Reset bodies every aggregator in this repository shares. An external
+// aggregator embeds the value NewTally(k) returns, adds each report's
+// support with AddIndex (one position) or AddRow (a packed 0/1 row over
+// all k positions), increments N, and reads the counts back with Counts()
+// when it estimates. Embedding it gives the aggregator the snapshot
+// contract (Stream.Snapshot, the collector tree) for free.
 type Tally = longitudinal.Tally
+
+// NewTally returns the empty round state of a k-position tally, the value
+// an aggregator embedding Tally starts from.
+func NewTally(k int) Tally { return longitudinal.NewTally(k) }
 
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol

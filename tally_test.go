@@ -122,9 +122,9 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 }
 
 // TestTallyDirectRejectsWhatDecoderRejects: malformed payloads —
-// truncated, trailing bytes, out-of-range values — are rejected by the
-// tally path exactly when the family's wire decoder rejects them, and a
-// rejected payload tallies nothing.
+// truncated, trailing bytes, out-of-range values, nonzero padding bits —
+// are rejected by both the tally path and the family's wire decoder, and
+// a rejected payload tallies nothing.
 func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
 	const k = 24
 	for name, proto := range tallyProtocols(t, k) {
@@ -147,12 +147,17 @@ func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
 			switch proto.(type) {
 			case *core.Protocol, *longitudinal.LGRR:
 				bad["out-of-range"] = []byte{0xFF} // a value byte past the domain
+			case *longitudinal.DBitFlipPM:
+				// d = 3: bits 3..7 of the one payload byte are padding.
+				padded := append([]byte{}, good...)
+				padded[len(padded)-1] |= 0x80
+				bad["nonzero-padding"] = padded
 			}
 			for label, payload := range bad {
 				tallyErr := tally.Ingest(0, payload)
 				decodeErr := decodeReport(proto, payload, reg)
-				if (tallyErr == nil) != (decodeErr == nil) {
-					t.Fatalf("%s payload: tally err=%v, decoder err=%v", label, tallyErr, decodeErr)
+				if tallyErr == nil || decodeErr == nil {
+					t.Fatalf("%s payload: tally err=%v, decoder err=%v, want both to reject", label, tallyErr, decodeErr)
 				}
 			}
 			if got := tally.CloseRound().Reports; got != 0 {
