@@ -6,6 +6,7 @@ package main
 // a signal delivered through an injectable channel.
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -14,14 +15,15 @@ import (
 	"path/filepath"
 	"time"
 
+	"github.com/loloha-ldp/loloha/internal/durable"
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/netserver"
 	"github.com/loloha-ldp/loloha/internal/server"
 )
 
 // snapshotFile is the state image inside -snapshot-dir. One file, always
-// replaced atomically: a crash mid-write leaves the previous image, never
-// a torn one.
+// replaced atomically and durably: a crash or power loss mid-write leaves
+// the previous image, never a torn one.
 const snapshotFile = "stream.lss1"
 
 // daemonOptions is the parsed flag set.
@@ -83,6 +85,7 @@ func (o *daemonOptions) validate() error {
 type daemon struct {
 	opts     daemonOptions
 	out      io.Writer
+	fs       durable.FS // the snapshot's file system; tests substitute a crash model
 	proto    longitudinal.Protocol
 	stream   *server.Stream
 	srv      *netserver.Server
@@ -118,11 +121,12 @@ func newDaemon(opts daemonOptions, out io.Writer) (*daemon, error) {
 	d := &daemon{
 		opts: opts,
 		out:  out,
+		fs:   durable.OS,
 		sig:  make(chan os.Signal, 1),
 		errc: make(chan error, 2),
 	}
 	d.proto = proto
-	if d.stream, err = openStream(proto, opts, streamOpts, out); err != nil {
+	if d.stream, err = openStream(d.fs, proto, opts, streamOpts, out); err != nil {
 		return nil, err
 	}
 
@@ -170,25 +174,28 @@ func newDaemon(opts daemonOptions, out io.Writer) (*daemon, error) {
 // openStream restores the stream from -snapshot-dir when an image exists
 // there, and creates a fresh one otherwise. A snapshot for a different
 // protocol or an unreadable image is a hard startup error: silently
-// starting empty would discard durable state.
-func openStream(proto longitudinal.Protocol, opts daemonOptions,
+// starting empty would discard durable state. Temp files left by a
+// snapshot write that a crash cut short are removed first.
+func openStream(fsys durable.FS, proto longitudinal.Protocol, opts daemonOptions,
 	streamOpts []server.Option, out io.Writer) (*server.Stream, error) {
 	if opts.snapDir == "" {
 		return server.NewStream(proto, streamOpts...)
 	}
-	if err := os.MkdirAll(opts.snapDir, 0o755); err != nil {
+	if err := fsys.MkdirAll(opts.snapDir); err != nil {
+		return nil, fmt.Errorf("-snapshot-dir: %w", err)
+	}
+	if err := durable.RemoveTemps(fsys, opts.snapDir); err != nil {
 		return nil, fmt.Errorf("-snapshot-dir: %w", err)
 	}
 	path := filepath.Join(opts.snapDir, snapshotFile)
-	f, err := os.Open(path)
+	image, err := fsys.ReadFile(path)
 	if errors.Is(err, os.ErrNotExist) {
 		return server.NewStream(proto, streamOpts...)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("opening snapshot: %w", err)
 	}
-	defer f.Close()
-	stream, err := server.RestoreStream(f, proto, streamOpts...)
+	stream, err := server.RestoreStream(bytes.NewReader(image), proto, streamOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("restoring %s: %w", path, err)
 	}
@@ -266,29 +273,11 @@ func (d *daemon) shutdown() error {
 	return nil
 }
 
-// writeSnapshot replaces the state image atomically: write to a temp file
-// in the same directory, fsync, rename over the old image.
+// writeSnapshot replaces the state image through durable.WriteFile: it
+// returns once the new image survives a power loss, and a crash before
+// that leaves the previous image.
 func (d *daemon) writeSnapshot() error {
-	f, err := os.CreateTemp(d.opts.snapDir, snapshotFile+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if err := d.stream.Snapshot(f); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(d.opts.snapDir, snapshotFile))
+	return durable.WriteFile(d.fs, d.opts.snapDir, snapshotFile, d.stream.Snapshot)
 }
 
 // close tears down whatever newDaemon managed to build; safe on a

@@ -215,8 +215,9 @@ func TestLeafOutboxSpoolsAndReplaysAtBoot(t *testing.T) {
 		t.Fatal("replayed round diverges from single-node reference")
 	}
 
-	// The durable SEQ survived the restart too: the next round's envelope
-	// continues the sequence, which the root's ledger records.
+	// The durable sequence floor survived the restart too: the next
+	// round's envelope continues the sequence, which the root's ledger
+	// records.
 	ingestRound(t, proto, clients, 1, ref, leafStream)
 	if _, err := leaf2.closeRound(); err != nil {
 		t.Fatalf("round 1 close: %v", err)

@@ -33,6 +33,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/loloha-ldp/loloha/internal/durable"
 	"github.com/loloha-ldp/loloha/internal/persist"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 	"github.com/loloha-ldp/loloha/internal/server"
@@ -100,6 +101,10 @@ type Config struct {
 	// and a round reaching ExpectLeaves arrivals closes immediately
 	// instead of waiting out the deadline.
 	ExpectLeaves int
+
+	// outboxFS is the outbox's file system; nil means durable.OS. Tests
+	// substitute a crash model.
+	outboxFS durable.FS
 }
 
 // Server is the daemon engine: listeners, connection registry, SSE hub
@@ -240,7 +245,10 @@ func New(cfg Config) (*Server, error) {
 		s.deadlineArm = make(chan struct{}, 1)
 	}
 	if s.upstream != nil {
-		ob, err := openOutbox(cfg.OutboxDir, cfg.LeafID)
+		if cfg.outboxFS == nil {
+			cfg.outboxFS = durable.OS
+		}
+		ob, err := openOutbox(cfg.outboxFS, cfg.OutboxDir, cfg.LeafID)
 		if err != nil {
 			return nil, err
 		}

@@ -5,32 +5,44 @@ package netserver
 // disk BEFORE the first ship attempt, so a leaf crash anywhere between
 // round close and ack loses nothing — boot replays every unshipped
 // envelope in sequence order, and the root's ledger absorbs whatever was
-// actually delivered before the crash as duplicates. The envelope
-// sequence counter itself is durable (the SEQ file), so a restarted leaf
-// never reuses a sequence number the root has already applied, which is
-// what keeps "fresh envelope" and "retry" distinguishable forever.
+// actually delivered before the crash as duplicates.
+//
+// A restarted leaf must never reuse a sequence number the root has
+// already applied: the root would drop the new round as a duplicate. The
+// envelope files themselves keep that floor, with no counter file. Each
+// spool is one durable.WriteFile (file fsync, rename, directory fsync),
+// and the newest envelope on disk is the witness of the highest assigned
+// number: on ack it is renamed to env-%016x.acked instead of deleted, and
+// an acked file is deleted only once a newer envelope is durable. Boot
+// takes the floor from the highest .lme1 or .acked file and replays only
+// the .lme1 ones. A lost .acked rename costs one duplicate ship, which
+// the root acks. So a round close costs one file fsync and one directory
+// fsync, and the floor survives a power loss, not only a process kill.
 
 import (
 	"fmt"
-	"os"
+	"io"
 	"path/filepath"
 	"sort"
 	"strconv"
 	"strings"
 	"sync"
 
+	"github.com/loloha-ldp/loloha/internal/durable"
 	"github.com/loloha-ldp/loloha/internal/persist"
 )
 
 const (
-	// outboxSeqFile holds the last assigned envelope sequence number
-	// (decimal), replaced atomically before the envelope it numbers is
-	// spooled. A crash between the two skips a sequence number, which is
-	// harmless: the root only needs monotonicity, not density.
-	outboxSeqFile = "SEQ"
-	// outboxEnvSuffix names spooled envelope files: env-%016x.lme1.
-	outboxEnvSuffix = ".lme1"
-	outboxEnvPrefix = "env-"
+	// A spooled envelope is env-%016x.lme1; an acked witness of the
+	// sequence floor is env-%016x.acked.
+	outboxEnvSuffix   = ".lme1"
+	outboxAckedSuffix = ".acked"
+	outboxEnvPrefix   = "env-"
+	// outboxLegacySeqFile is the sequence counter file older releases
+	// wrote before every envelope. Boot still counts it toward the floor
+	// (an outbox whose envelopes were all acked holds nothing else), and
+	// the first durable envelope retires it.
+	outboxLegacySeqFile = "SEQ"
 )
 
 // outboxItem is one unshipped envelope.
@@ -41,66 +53,96 @@ type outboxItem struct {
 }
 
 // outbox spools unshipped merge envelopes. With a directory it is
-// durable (atomic temp+rename per envelope, like the periodic snapshot);
-// without one it degrades to in-memory spooling — retries survive, a
-// process crash does not, and the boot replay has nothing to read.
+// durable; without one it degrades to in-memory spooling — retries
+// survive, a process crash does not, and the boot replay has nothing to
+// read.
 type outbox struct {
+	fs   durable.FS
 	dir  string // "" = memory mode
 	leaf string
 
 	mu      sync.Mutex
 	nextSeq uint64 // last assigned sequence number
+	// witness is the highest sequence number whose envelope file is
+	// durable (from boot, or a completed spool). Acking it, or a newer
+	// envelope whose spool failed, renames the file to .acked; acking
+	// anything older deletes it.
+	witness uint64
+	// retired lists the files (.acked witnesses, the legacy SEQ file)
+	// that the next durable envelope makes redundant.
+	retired []string
 	pending []outboxItem
 }
 
 // openOutbox opens (or initializes) the outbox for leaf in dir, replaying
 // any spooled envelopes left by a previous process. An unreadable spool
 // is a hard error: silently skipping an envelope would lose a round.
-func openOutbox(dir, leaf string) (*outbox, error) {
-	ob := &outbox{dir: dir, leaf: leaf}
+func openOutbox(fsys durable.FS, dir, leaf string) (*outbox, error) {
+	ob := &outbox{fs: fsys, dir: dir, leaf: leaf}
 	if dir == "" {
 		return ob, nil
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir); err != nil {
 		return nil, fmt.Errorf("netserver: outbox dir: %w", err)
 	}
-	if raw, err := os.ReadFile(filepath.Join(dir, outboxSeqFile)); err == nil {
-		seq, perr := strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64)
-		if perr != nil {
-			return nil, fmt.Errorf("netserver: outbox SEQ file: %w", perr)
-		}
-		ob.nextSeq = seq
-	} else if !os.IsNotExist(err) {
-		return nil, fmt.Errorf("netserver: outbox SEQ file: %w", err)
+	if err := durable.RemoveTemps(fsys, dir); err != nil {
+		return nil, fmt.Errorf("netserver: outbox temp files: %w", err)
 	}
-	entries, err := os.ReadDir(dir)
+	names, err := fsys.List(dir)
 	if err != nil {
 		return nil, fmt.Errorf("netserver: outbox dir: %w", err)
 	}
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasPrefix(name, outboxEnvPrefix) || !strings.HasSuffix(name, outboxEnvSuffix) {
-			continue // SEQ file, temp files cleaned below, foreign files
+	for _, name := range names {
+		var seq uint64
+		switch {
+		case name == outboxLegacySeqFile:
+			raw, err := fsys.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				return nil, fmt.Errorf("netserver: outbox SEQ file: %w", err)
+			}
+			if seq, err = strconv.ParseUint(strings.TrimSpace(string(raw)), 10, 64); err != nil {
+				return nil, fmt.Errorf("netserver: outbox SEQ file: %w", err)
+			}
+			ob.retired = append(ob.retired, name)
+		case isEnvFile(name, outboxAckedSuffix):
+			hex := strings.TrimSuffix(strings.TrimPrefix(name, outboxEnvPrefix), outboxAckedSuffix)
+			if seq, err = strconv.ParseUint(hex, 16, 64); err != nil {
+				return nil, fmt.Errorf("netserver: outbox file %s: %w", name, err)
+			}
+			ob.retired = append(ob.retired, name)
+		case isEnvFile(name, outboxEnvSuffix):
+			env, err := fsys.ReadFile(filepath.Join(dir, name))
+			if err != nil {
+				return nil, fmt.Errorf("netserver: outbox replay %s: %w", name, err)
+			}
+			h, err := persist.ParseEnvelopeHeader(env)
+			if err != nil {
+				return nil, fmt.Errorf("netserver: outbox replay %s: %w", name, err)
+			}
+			if string(h.Leaf) != leaf {
+				return nil, fmt.Errorf("netserver: outbox replay %s: envelope belongs to leaf %q, this daemon is %q",
+					name, h.Leaf, leaf)
+			}
+			seq = h.Seq
+			ob.pending = append(ob.pending, outboxItem{seq: seq, round: h.Round, env: env})
+		default:
+			continue // foreign files
 		}
-		env, err := os.ReadFile(filepath.Join(dir, name))
-		if err != nil {
-			return nil, fmt.Errorf("netserver: outbox replay %s: %w", name, err)
-		}
-		h, err := persist.ParseEnvelopeHeader(env)
-		if err != nil {
-			return nil, fmt.Errorf("netserver: outbox replay %s: %w", name, err)
-		}
-		if string(h.Leaf) != leaf {
-			return nil, fmt.Errorf("netserver: outbox replay %s: envelope belongs to leaf %q, this daemon is %q",
-				name, h.Leaf, leaf)
-		}
-		ob.pending = append(ob.pending, outboxItem{seq: h.Seq, round: h.Round, env: env})
-		if h.Seq > ob.nextSeq {
-			ob.nextSeq = h.Seq
-		}
+		ob.nextSeq = max(ob.nextSeq, seq)
 	}
 	sort.Slice(ob.pending, func(a, b int) bool { return ob.pending[a].seq < ob.pending[b].seq })
+	// What this process found may be visible without being durable (a
+	// process kill keeps unsynced renames): make it durable before any
+	// ack can delete what it supersedes.
+	if err := fsys.SyncDir(dir); err != nil {
+		return nil, fmt.Errorf("netserver: outbox dir: %w", err)
+	}
+	ob.witness = ob.nextSeq
 	return ob, nil
+}
+
+func isEnvFile(name, suffix string) bool {
+	return strings.HasPrefix(name, outboxEnvPrefix) && strings.HasSuffix(name, suffix)
 }
 
 // add assigns the next sequence number, wraps image (persist.Append
@@ -120,44 +162,26 @@ func (ob *outbox) add(round int, image []byte) (uint64, error) {
 	if ob.dir == "" {
 		return seq, nil
 	}
-	// SEQ first, then the envelope: if the crash lands between the two,
-	// the number is burned but never reused.
-	if err := ob.writeAtomic(outboxSeqFile, []byte(strconv.FormatUint(seq, 10))); err != nil {
-		return seq, fmt.Errorf("netserver: outbox SEQ: %w", err)
-	}
-	if err := ob.writeAtomic(envFileName(seq), env); err != nil {
+	err = durable.WriteFile(ob.fs, ob.dir, envFileName(seq, outboxEnvSuffix), func(w io.Writer) error {
+		_, err := w.Write(env)
+		return err
+	})
+	if err != nil {
 		return seq, fmt.Errorf("netserver: spooling round %d: %w", round, err)
 	}
+	// The new envelope is the durable witness now; the files it
+	// supersedes go. Best-effort: a leftover holds a lower number, so it
+	// cannot move the boot floor, and the next boot retires it again.
+	ob.witness = seq
+	for _, name := range ob.retired {
+		ob.fs.Remove(filepath.Join(ob.dir, name))
+	}
+	ob.retired = ob.retired[:0]
 	return seq, nil
 }
 
-func envFileName(seq uint64) string {
-	return fmt.Sprintf("%s%016x%s", outboxEnvPrefix, seq, outboxEnvSuffix)
-}
-
-// writeAtomic replaces dir/name via temp file + fsync + rename, the same
-// torn-write guarantee as the daemon's periodic snapshots.
-func (ob *outbox) writeAtomic(name string, data []byte) error {
-	f, err := os.CreateTemp(ob.dir, name+".tmp-*")
-	if err != nil {
-		return err
-	}
-	tmp := f.Name()
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	return os.Rename(tmp, filepath.Join(ob.dir, name))
+func envFileName(seq uint64, suffix string) string {
+	return fmt.Sprintf("%s%016x%s", outboxEnvPrefix, seq, suffix)
 }
 
 // first returns the oldest unshipped envelope, if any. The bytes are
@@ -171,7 +195,9 @@ func (ob *outbox) first() (outboxItem, bool) {
 	return ob.pending[0], true
 }
 
-// ack marks seq delivered: the entry and its spool file are removed.
+// ack marks seq delivered: the entry leaves the outbox and so does its
+// spool file, except that the durable witness of the sequence floor is
+// renamed to .acked rather than deleted.
 func (ob *outbox) ack(seq uint64) {
 	ob.mu.Lock()
 	defer ob.mu.Unlock()
@@ -181,11 +207,19 @@ func (ob *outbox) ack(seq uint64) {
 			break
 		}
 	}
-	if ob.dir != "" {
-		// Best-effort: a leftover file replays as a duplicate, which the
-		// root's ledger absorbs.
-		os.Remove(filepath.Join(ob.dir, envFileName(seq)))
+	if ob.dir == "" {
+		return
 	}
+	// Best-effort and unsynced: a lost rename or removal leaves the
+	// .lme1 file, which replays as a duplicate the root absorbs.
+	path := filepath.Join(ob.dir, envFileName(seq, outboxEnvSuffix))
+	if seq < ob.witness {
+		ob.fs.Remove(path)
+		return
+	}
+	acked := envFileName(seq, outboxAckedSuffix)
+	ob.fs.Rename(path, filepath.Join(ob.dir, acked))
+	ob.retired = append(ob.retired, acked)
 }
 
 // stats returns the unshipped count and the oldest unshipped round

@@ -253,3 +253,60 @@ func TestGoldenEstimateDigests(t *testing.T) {
 		t.Errorf("%d registered families, golden table has %d", len(families), len(goldenEstimateDigests))
 	}
 }
+
+// goldenSnapshotDigests pins, per registered family, an FNV-1a 64 digest
+// of the LSS1 image of a two-shard root stream holding a partly reported
+// round, a merged leaf envelope and its ledger entry. The image is the
+// on-disk format restarts read, so it must not move when the snapshot
+// path changes how it gathers the state.
+var goldenSnapshotDigests = map[string]uint64{
+	"1BitFlipPM": 0xdd7c5e0190c9aa3c,
+	"BiLOLOHA":   0x54b13b8be2a6f390,
+	"L-GRR":      0xef9e5124ef3cf8b2,
+	"L-OSUE":     0x616713f9e15d03d8,
+	"L-OUE":      0xe67097e8c2dea317,
+	"L-SOUE":     0x905056e1dfc0c188,
+	"LOLOHA":     0x15896437cb8a75e0,
+	"OLOLOHA":    0xe6ecc6e6b7d4b5c8,
+	"RAPPOR":     0x6ea00e2e29156c17,
+	"bBitFlipPM": 0xf0b0e72cf18de5f9,
+	"dBitFlipPM": 0x588abe488ad6f0fe,
+}
+
+func TestGoldenSnapshotDigests(t *testing.T) {
+	families := longitudinal.Families()
+	for _, family := range families {
+		t.Run(family, func(t *testing.T) {
+			proto, err := columnarSpec(t, family, goldenK).Build()
+			if err != nil {
+				t.Fatal(err)
+			}
+			g := newGoldenRun(t, proto)
+			root, leaf := g.stream(WithShards(2)), g.stream(WithShards(1))
+			g.enroll(root, func(u int) bool { return u%3 != 0 })
+			g.enroll(leaf, func(u int) bool { return u%3 == 0 })
+			for u, p := range g.payloads(0) {
+				switch {
+				case u%3 == 0:
+					g.check(leaf.Ingest(u, p))
+				case u%2 == 0:
+					g.check(root.Ingest(u, p))
+				}
+			}
+			env, _ := exportEnvelope(t, leaf, "leaf-0", 7)
+			if _, dup, err := root.MergeEnvelope(env); err != nil || dup {
+				t.Fatalf("merge dup=%v err=%v", dup, err)
+			}
+			var buf bytes.Buffer
+			g.check(root.Snapshot(&buf))
+			h := fnv.New64a()
+			h.Write(buf.Bytes())
+			if got, want := h.Sum64(), goldenSnapshotDigests[family]; got != want {
+				t.Errorf("LSS1 image digest %#x, golden %#x", got, want)
+			}
+		})
+	}
+	if len(families) != len(goldenSnapshotDigests) {
+		t.Errorf("%d registered families, golden table has %d", len(families), len(goldenSnapshotDigests))
+	}
+}

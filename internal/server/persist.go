@@ -6,6 +6,7 @@ import (
 	"io"
 	"sort"
 
+	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/persist"
 )
@@ -38,9 +39,11 @@ func snapshotTallier(agg longitudinal.Aggregator) (longitudinal.SnapshotTallier,
 
 // Snapshot writes the stream's full open-round state — every shard's
 // tallies, registration table and reported bits, plus the open round's
-// index — as one LSS1 image. It excludes all ingestion for the copy (the
-// same barrier CloseRound takes) but encodes and writes after releasing
-// the locks, so a slow disk never stalls ingestion longer than the copy.
+// index — as one LSS1 image. It excludes all ingestion only while it
+// copies the tallies and reported bits (the same barrier CloseRound
+// takes); the user table is built, sorted, encoded and written after the
+// locks are released, so neither the user count nor a slow disk stalls
+// ingestion.
 func (s *Stream) Snapshot(w io.Writer) error {
 	snap, err := s.exportState()
 	if err != nil {
@@ -49,9 +52,40 @@ func (s *Stream) Snapshot(w io.Writer) error {
 	return persist.Write(w, snap)
 }
 
-// exportState deep-copies the stream's open-round state under the round
-// barrier.
+// exportState returns the stream's open-round state as a snapshot. The
+// user tables are built and put in canonical order outside the round
+// barrier, from the slot prefixes captureState took under it.
 func (s *Stream) exportState() (*persist.Snapshot, error) {
+	snap, tables, err := s.captureState()
+	if err != nil {
+		return nil, err
+	}
+	for i, t := range tables {
+		users := make([]persist.User, len(t.ids))
+		for slot, id := range t.ids {
+			users[slot] = persist.User{ID: id, Reg: t.regs[slot], Reported: t.reported.Get(slot)}
+		}
+		// The codec demands ascending IDs (canonical form).
+		sort.Slice(users, func(a, b int) bool { return users[a].ID < users[b].ID })
+		snap.Shards[i].Users = users
+	}
+	sort.Slice(snap.Ledger, func(a, b int) bool { return snap.Ledger[a].Leaf < snap.Ledger[b].Leaf })
+	return snap, nil
+}
+
+// userTable is one shard's user table as captured under the round
+// barrier. Registrations never change after Enroll and slots are dense
+// and append-only, so the ids and regs prefixes are never written again.
+type userTable struct {
+	ids      []int          // slot → user ID
+	regs     []Registration // slot → registration
+	reported *bitset.Bitset // a copy of the reported bits
+}
+
+// captureState copies the counts, report counts, reported bits, slot
+// counts and ledger under the exclusive round barrier: O(k + users/64)
+// per shard, with no per-user work.
+func (s *Stream) captureState() (*persist.Snapshot, []userTable, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	snap := &persist.Snapshot{
@@ -60,25 +94,17 @@ func (s *Stream) exportState() (*persist.Snapshot, error) {
 		HasUsers: true,
 		Shards:   make([]persist.Shard, len(s.shards)),
 	}
+	tables := make([]userTable, len(s.shards))
 	for i, sh := range s.shards {
 		st, err := snapshotTallier(sh.agg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		dst := &snap.Shards[i]
 		dst.Counts, dst.N = st.ExportTally(nil)
 		dst.Tallied = sh.tallied
-		dst.Users = make([]persist.User, 0, len(sh.slots))
-		for userID, slot := range sh.slots {
-			dst.Users = append(dst.Users, persist.User{
-				ID:       userID,
-				Reg:      sh.regs[slot],
-				Reported: sh.reported.Get(slot),
-			})
-		}
-		// The codec demands ascending IDs (canonical form); sorting also
-		// makes the image independent of map iteration order.
-		sort.Slice(dst.Users, func(a, b int) bool { return dst.Users[a].ID < dst.Users[b].ID })
+		n := len(sh.ids)
+		tables[i] = userTable{ids: sh.ids[:n:n], regs: sh.regs[:n:n], reported: sh.reported.Clone()}
 	}
 	if len(s.ledger) > 0 {
 		// The dedup ledger rides the same image as the tallies it
@@ -89,9 +115,8 @@ func (s *Stream) exportState() (*persist.Snapshot, error) {
 		for _, e := range s.ledger {
 			snap.Ledger = append(snap.Ledger, e)
 		}
-		sort.Slice(snap.Ledger, func(a, b int) bool { return snap.Ledger[a].Leaf < snap.Ledger[b].Leaf })
 	}
-	return snap, nil
+	return snap, tables, nil
 }
 
 // RestoreStream rebuilds a stream from a snapshot written by Snapshot.

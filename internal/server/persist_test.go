@@ -372,3 +372,81 @@ func TestSnapshotExportIsNondestructive(t *testing.T) {
 	}
 	sameRound(t, "post-snapshot close", a.CloseRound(), b.CloseRound())
 }
+
+// TestSnapshotDuringEnrollment takes snapshots while other goroutines
+// enroll and report: the user table is built outside the round barrier
+// from the slot prefix captured under it, so every image must still be
+// canonical, hold each captured user exactly once, and agree with its own
+// tallies (one reported flag per tallied report).
+func TestSnapshotDuringEnrollment(t *testing.T) {
+	const writers, perWriter = 2, 2000
+	proto, err := core.NewBinary(16, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStream(proto, WithShards(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	done := make(chan error, writers)
+	for w := 0; w < writers; w++ {
+		go func(w int) {
+			for i := 0; i < perWriter; i++ {
+				u := w*perWriter + i
+				cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+				if err := s.Enroll(u, cl.WireRegistration()); err != nil {
+					done <- err
+					return
+				}
+				if err := s.Ingest(u, cl.AppendReport(nil, u%16)); err != nil {
+					done <- err
+					return
+				}
+			}
+			done <- nil
+		}(w)
+	}
+	check := func() int {
+		var buf bytes.Buffer
+		if err := s.Snapshot(&buf); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := persist.Decode(buf.Bytes())
+		if err != nil {
+			t.Fatalf("snapshot taken during enrollment does not decode: %v", err)
+		}
+		users := 0
+		for _, sh := range snap.Shards {
+			reported := 0
+			for _, u := range sh.Users {
+				if u.Reported {
+					reported++
+				}
+			}
+			if reported != sh.Tallied {
+				t.Fatalf("shard image has %d reported users but %d tallied reports", reported, sh.Tallied)
+			}
+			users += len(sh.Users)
+		}
+		return users
+	}
+	for finished, last := 0, 0; finished < writers; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+			finished++
+		default:
+		}
+		users := check()
+		if users < last {
+			t.Fatalf("snapshot lost users: %d after %d", users, last)
+		}
+		last = users
+	}
+	if got := check(); got != writers*perWriter {
+		t.Fatalf("final snapshot holds %d users, want %d", got, writers*perWriter)
+	}
+}

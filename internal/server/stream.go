@@ -95,6 +95,7 @@ type streamShard struct {
 	mu       sync.Mutex
 	agg      longitudinal.Aggregator
 	slots    map[int]int    // userID → slot, assigned at Enroll
+	ids      []int          // slot → userID; append-only, like regs
 	regs     []Registration // slot → enrollment metadata
 	reported *bitset.Bitset // slot → reported this round
 	tallied  int
@@ -359,6 +360,7 @@ func (sh *streamShard) enroll(userID int, reg Registration) error {
 	}
 	slot := len(sh.regs)
 	sh.slots[userID] = slot
+	sh.ids = append(sh.ids, userID)
 	sh.regs = append(sh.regs, reg)
 	sh.reported.Grow(slot + 1)
 	return nil
