@@ -42,7 +42,7 @@ func BenchmarkIngestPath(b *testing.B) {
 				b.Fatal(err)
 			}
 			userIDs[u] = u
-			payloads[u] = cl.Report(u % k).AppendBinary(nil)
+			payloads[u] = cl.AppendReport(nil, u%k)
 		}
 		// Each worker owns a contiguous block of users and ingests it
 		// either one report or one batch slice at a time.
@@ -113,11 +113,8 @@ func BenchmarkIngestColumnar(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		stride, ok := loloha.ColumnarStrideOf(proto)
-		if !ok {
-			b.Fatal("protocol has no columnar stride")
-		}
-		w, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+		stride := proto.WireTallier().PayloadStride()
+		w, err := loloha.NewColumnarWriter(proto.Spec().Hash(), stride)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -129,7 +126,7 @@ func BenchmarkIngestColumnar(b *testing.B) {
 			if err := stream.Enroll(u, loloha.Registration{HashSeed: cl.(seeded).HashSeed()}); err != nil {
 				b.Fatal(err)
 			}
-			if err := w.Add(u, cl.Report(u%k).AppendBinary(nil)); err != nil {
+			if err := w.Add(u, cl.AppendReport(nil, u%k)); err != nil {
 				b.Fatal(err)
 			}
 			if w.Count() == batchSize || u == n-1 {

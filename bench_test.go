@@ -85,7 +85,7 @@ func BenchmarkTable1Communication(b *testing.B) {
 			var buf []byte
 			bytesPerReport := 0
 			for i := 0; i < b.N; i++ {
-				buf = cl.Report(i % k).AppendBinary(buf[:0])
+				buf = cl.AppendReport(buf[:0], i%k)
 				bytesPerReport = len(buf)
 			}
 			benchSink = buf
@@ -200,6 +200,19 @@ func BenchmarkTable2Detection(b *testing.B) {
 // Throughput benches: the per-report client and per-report server costs
 // that Table 1 summarizes asymptotically.
 
+// benchPayloads returns one payload of value u mod k and one registration
+// for each of n users u.
+func benchPayloads(proto loloha.Protocol, n int) ([][]byte, []loloha.Registration) {
+	payloads := make([][]byte, n)
+	regs := make([]loloha.Registration, n)
+	for u := range payloads {
+		cl := proto.NewClient(uint64(u))
+		payloads[u] = cl.AppendReport(nil, u%proto.K())
+		regs[u] = cl.WireRegistration()
+	}
+	return payloads, regs
+}
+
 func BenchmarkClientReport(b *testing.B) {
 	const k = 360
 	mk := map[string]func() (loloha.Protocol, error){
@@ -218,11 +231,11 @@ func BenchmarkClientReport(b *testing.B) {
 				b.Fatal(err)
 			}
 			cl := proto.NewClient(1)
-			var rep loloha.Report
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				rep = cl.Report(i % k)
+				buf = cl.AppendReport(buf[:0], i%k)
 			}
-			benchSink = rep
+			benchSink = buf
 		})
 	}
 }
@@ -240,17 +253,17 @@ func BenchmarkAggregatorAdd(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			// Pre-generate a pool of reports from a modest user set so Add
-			// dominates the measurement.
+			// Pre-generate a pool of payloads from a modest user set so the
+			// tally dominates the measurement.
 			const pool = 256
-			reports := make([]loloha.Report, pool)
-			for u := 0; u < pool; u++ {
-				reports[u] = proto.NewClient(uint64(u)).Report(u % k)
-			}
+			payloads, regs := benchPayloads(proto, pool)
+			ct := proto.WireTallier()
 			agg := proto.NewAggregator()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				agg.Add(i%pool, reports[i%pool])
+				if err := ct.TallyCell(agg, i%pool, payloads[i%pool], regs[i%pool]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			benchSink = agg
 		})
@@ -324,7 +337,7 @@ func BenchmarkIngestParallel(b *testing.B) {
 				if err := col.Enroll(u, loloha.Registration{HashSeed: cl.HashSeed()}); err != nil {
 					b.Fatal(err)
 				}
-				payloads[u] = cl.ReportValue(u % k).AppendBinary(nil)
+				payloads[u] = cl.AppendReport(nil, u%k)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -366,14 +379,14 @@ func BenchmarkAblationSupportCache(b *testing.B) {
 				b.Fatal(err)
 			}
 			const pool = 256
-			reports := make([]core.Report, pool)
-			for u := 0; u < pool; u++ {
-				reports[u] = proto.NewClient(uint64(u)).(*core.Client).ReportValue(u % k)
-			}
+			payloads, regs := benchPayloads(proto, pool)
+			ct := proto.WireTallier()
 			agg := proto.NewServer()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				agg.AddReport(i%pool, reports[i%pool])
+				if err := ct.TallyCell(agg, i%pool, payloads[i%pool], regs[i%pool]); err != nil {
+					b.Fatal(err)
+				}
 			}
 			benchSink = agg
 		})
@@ -465,9 +478,11 @@ func BenchmarkAblationHashFamily(b *testing.B) {
 			}
 			r := randsrc.NewSeeded(1)
 			cl := proto.NewClient(1)
+			var buf []byte
 			for i := 0; i < b.N; i++ {
-				benchSink = cl.Report(r.Intn(k))
+				buf = cl.AppendReport(buf[:0], r.Intn(k))
 			}
+			benchSink = buf
 		})
 	}
 }

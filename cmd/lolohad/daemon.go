@@ -154,9 +154,14 @@ func newDaemon(opts daemonOptions, out io.Writer) (*daemon, error) {
 			cfg.OutboxDir = filepath.Join(opts.snapDir, "outbox")
 		}
 	}
+	restored := d.stream.Rounds()
 	if d.srv, err = netserver.New(cfg); err != nil {
 		d.close()
 		return nil, err
+	}
+	if open := d.stream.Rounds(); open != restored {
+		fmt.Fprintf(out, "lolohad: outbox already holds round %d, so its restored pending reports were dropped; resuming at round %d\n",
+			open-1, open)
 	}
 	if d.httpLn, err = net.Listen("tcp", opts.httpAddr); err != nil {
 		d.close()

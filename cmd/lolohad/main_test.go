@@ -65,11 +65,11 @@ func stopDaemon(t *testing.T, d *daemon, done chan error) {
 
 // testClients builds n deterministic clients and enrolls them in the
 // reference stream.
-func testClients(t *testing.T, proto longitudinal.Protocol, ref *server.Stream, n int) []longitudinal.AppendReporter {
+func testClients(t *testing.T, proto longitudinal.Protocol, ref *server.Stream, n int) []longitudinal.Client {
 	t.Helper()
-	clients := make([]longitudinal.AppendReporter, n)
+	clients := make([]longitudinal.Client, n)
 	for u := range clients {
-		clients[u] = proto.NewClient(randsrc.Derive(77, uint64(u))).(longitudinal.AppendReporter)
+		clients[u] = proto.NewClient(randsrc.Derive(77, uint64(u)))
 		if err := ref.Enroll(u, clients[u].WireRegistration()); err != nil {
 			t.Fatal(err)
 		}
@@ -80,7 +80,7 @@ func testClients(t *testing.T, proto longitudinal.Protocol, ref *server.Stream, 
 // roundPayloads generates each client's report for the round ONCE —
 // report chains are memoized per client, so the identical bytes must
 // feed both the daemon and the reference stream.
-func roundPayloads(clients []longitudinal.AppendReporter, round, k int) [][]byte {
+func roundPayloads(clients []longitudinal.Client, round, k int) [][]byte {
 	payloads := make([][]byte, len(clients))
 	for u, cl := range clients {
 		payloads[u] = cl.AppendReport(nil, (u*3+round)%k)
@@ -89,7 +89,7 @@ func roundPayloads(clients []longitudinal.AppendReporter, round, k int) [][]byte
 }
 
 // enrollTCP enrolls all clients over the daemon's raw-frame TCP front.
-func enrollTCP(t *testing.T, conn net.Conn, clients []longitudinal.AppendReporter) {
+func enrollTCP(t *testing.T, conn net.Conn, clients []longitudinal.Client) {
 	t.Helper()
 	var frames []byte
 	var err error

@@ -140,14 +140,9 @@ func loadgen(o loadgenOptions) error {
 				}
 			}()
 			res := &results[w]
-			clients := make([]longitudinal.AppendReporter, hi-lo)
+			clients := make([]longitudinal.Client, hi-lo)
 			for i := range clients {
-				cl, ok := proto.NewClient(o.seed + uint64(lo+i)).(longitudinal.AppendReporter)
-				if !ok {
-					res.err = fmt.Errorf("%s client lacks the append fast path", proto.Name())
-					return
-				}
-				clients[i] = cl
+				clients[i] = proto.NewClient(o.seed + uint64(lo+i))
 			}
 			var push pusher
 			if o.columnar {
@@ -330,7 +325,7 @@ func closeRound(addr string) (int, error) {
 // reports with batching left to the implementation. flush pushes out any
 // buffered reports and returns what the daemon acknowledged.
 type pusher interface {
-	enroll(firstID int, clients []longitudinal.AppendReporter) error
+	enroll(firstID int, clients []longitudinal.Client) error
 	report(userID int, payload []byte) error
 	flush() (sent, rejected uint64, err error)
 	close()
@@ -353,7 +348,7 @@ func newHTTPPusher(base string, batch int) (pusher, error) {
 	return &httpPusher{base: base, client: http.DefaultClient, batch: batch}, nil
 }
 
-func (p *httpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
+func (p *httpPusher) enroll(firstID int, clients []longitudinal.Client) error {
 	for i, cl := range clients {
 		reg := cl.WireRegistration()
 		body, err := json.Marshal(map[string]any{
@@ -451,7 +446,7 @@ func newTCPPusher(addr string) (pusher, error) {
 	return &tcpPusher{conn: conn}, nil
 }
 
-func (p *tcpPusher) enroll(firstID int, clients []longitudinal.AppendReporter) error {
+func (p *tcpPusher) enroll(firstID int, clients []longitudinal.Client) error {
 	p.buf = p.buf[:0]
 	for i, cl := range clients {
 		var err error
@@ -513,11 +508,7 @@ func (p *tcpPusher) close() { p.conn.Close() }
 // newColumnarPusher wraps the transport selected by -tcp with a columnar
 // report encoder sized to -batch.
 func newColumnarPusher(o loadgenOptions, proto longitudinal.Protocol) (pusher, error) {
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		return nil, fmt.Errorf("%s has no columnar tallier; drop -columnar", proto.Name())
-	}
-	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	w, err := longitudinal.NewColumnarWriter(proto.Spec().Hash(), proto.WireTallier().PayloadStride())
 	if err != nil {
 		return nil, err
 	}

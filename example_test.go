@@ -8,7 +8,7 @@ import (
 
 // Declarative construction: a serializable ProtocolSpec replaces the
 // positional New* constructors, and a built protocol describes itself back
-// via SpecOf — the spec round-trips through JSON, config files and RPCs.
+// via Spec — the spec round-trips through JSON, config files and RPCs.
 func ExampleProtocolSpec() {
 	spec, err := loloha.ParseSpec([]byte(`{"family":"BiLOLOHA","k":4,"eps_inf":1.0,"eps1":0.5}`))
 	if err != nil {
@@ -26,7 +26,7 @@ func ExampleProtocolSpec() {
 	if err != nil {
 		panic(err)
 	}
-	back, _ := loloha.SpecOf(proto)
+	back := proto.Spec()
 	fmt.Printf("%s over k=%d: %d estimates from %d reports\n",
 		back.Family, back.K, len(res.Raw), res.Reports)
 	// Output: BiLOLOHA over k=4: 4 estimates from 3 reports
@@ -119,7 +119,7 @@ func ExampleStream_IngestBatch() {
 			panic(err)
 		}
 		userIDs = append(userIDs, u)
-		payloads = append(payloads, client.Report(3).AppendBinary(nil))
+		payloads = append(payloads, client.AppendReport(nil, 3))
 	}
 	if err := stream.IngestBatch(userIDs, payloads); err != nil {
 		panic(err)

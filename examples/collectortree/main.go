@@ -130,14 +130,10 @@ func run() error {
 		}
 		defer conns[i].Close()
 	}
-	clients := make([]longitudinal.AppendReporter, users)
+	clients := make([]longitudinal.Client, users)
 	for u := range clients {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			return fmt.Errorf("%s client does not implement AppendReporter", proto.Name())
-		}
-		clients[u] = cl
-		reg := cl.WireRegistration()
+		clients[u] = proto.NewClient(uint64(u))
+		reg := clients[u].WireRegistration()
 		if err := ref.Enroll(u, reg); err != nil {
 			return err
 		}

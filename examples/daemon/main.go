@@ -79,7 +79,7 @@ func run() error {
 	// Client side: enroll everyone over their transport, then report a
 	// shifting distribution — value 7 dominates early, value 21 takes
 	// over halfway through — and watch the estimates follow.
-	clients := make([]longitudinal.AppendReporter, users)
+	clients := make([]longitudinal.Client, users)
 	conn, err := net.Dial("tcp", tl.Addr().String())
 	if err != nil {
 		return err
@@ -87,12 +87,8 @@ func run() error {
 	defer conn.Close()
 	var frames []byte
 	for u := range clients {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			return fmt.Errorf("%s client does not implement AppendReporter", proto.Name())
-		}
-		clients[u] = cl
-		reg := cl.WireRegistration()
+		clients[u] = proto.NewClient(uint64(u))
+		reg := clients[u].WireRegistration()
 		if u < users/2 {
 			if err := enrollJSON(ts.URL, u, reg); err != nil {
 				return err

@@ -107,9 +107,9 @@ func main() {
 	// LOLOHA client: the adversary sees IRR re-randomizations of ONE
 	// memoized cell of a 2-cell hash — the mode identifies at most the
 	// user's hash cell, which ~half the domain shares. The client emits
-	// wire bytes through the allocation-free AppendReport fast path into
-	// one reused buffer — what a real device loop looks like.
-	cl := proto.NewClient(1234).(loloha.AppendReporter)
+	// wire bytes with the allocation-free AppendReport into one reused
+	// buffer — what a real device loop looks like.
+	cl := proto.NewClient(1234)
 	cellCounts := make([]int, 2)
 	var wire []byte
 	for t := 0; t < attackRounds; t++ {

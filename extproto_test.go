@@ -1,67 +1,50 @@
-// An out-of-package protocol plugged into Stream: ingestion has one open
-// contract (TallyProtocol: PayloadStride + TallyCell), so a protocol
-// defined entirely outside the library — here a noise-free histogram
-// protocol in this external test package — round-trips through the wire
-// service end to end, and one that lacks the contract is rejected at
-// construction with an error naming it.
+// An out-of-package protocol plugged into Stream: a protocol is one
+// Protocol/Client/Aggregator contract, checked by the compiler, so a
+// protocol defined entirely outside the library — here a noise-free
+// histogram protocol in this external test package — round-trips through
+// the wire service end to end, sharded like any built-in.
 package loloha_test
 
 import (
 	"fmt"
 	"math"
 	"slices"
-	"strings"
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
 )
 
-// histBase is a trivial "protocol": clients report their value verbatim
+// histProto is a trivial "protocol": clients report their value verbatim
 // (no privacy — it exists to exercise the wire plumbing, not the
-// estimators). It deliberately does NOT implement loloha.TallyProtocol,
-// so a Stream cannot ingest it.
-type histBase struct {
+// estimators).
+type histProto struct {
 	k    int
 	name string
 }
 
-func (p *histBase) Name() string          { return p.name }
-func (p *histBase) K() int                { return p.k }
-func (p *histBase) SteadyReportBits() int { return 8 }
+func (p *histProto) Name() string          { return p.name }
+func (p *histProto) K() int                { return p.k }
+func (p *histProto) SteadyReportBits() int { return 8 }
 
-func (p *histBase) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
-func (p *histBase) NewAggregator() loloha.Aggregator {
+func (p *histProto) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
+func (p *histProto) NewAggregator() loloha.Aggregator {
 	return &histAgg{k: p.k, Tally: loloha.NewTally(p.k)}
 }
 
-// histProto adds WireTallier, making the protocol streamable.
-type histProto struct{ histBase }
+// Spec implements loloha.Protocol.
+func (p *histProto) Spec() loloha.ProtocolSpec { return loloha.ProtocolSpec{Family: p.name, K: p.k} }
 
-// WireTallier implements loloha.TallyProtocol.
+// WireTallier implements loloha.Protocol.
 func (p *histProto) WireTallier() loloha.ColumnarTallier { return histTallier{k: p.k} }
 
-func newExternalProtocol(k int, tallied bool) loloha.Protocol {
-	if tallied {
-		return &histProto{histBase{k: k, name: "ext-hist"}}
-	}
-	return &histBase{k: k, name: "ext-hist-untallied"}
-}
-
-// Statically assert which variant satisfies the interface.
-var (
-	_ loloha.TallyProtocol = (*histProto)(nil)
-	_ loloha.Protocol      = (*histBase)(nil)
-)
+func newExternalProtocol(k int) loloha.Protocol { return &histProto{k: k, name: "ext-hist"} }
 
 type histClient struct{ k int }
 
-func (c *histClient) Report(v int) loloha.Report { return histReport{v: v} }
-func (c *histClient) Charge(v int)               {}
-func (c *histClient) PrivacySpent() float64      { return math.Inf(1) } // no privacy at all
-
-type histReport struct{ v int }
-
-func (r histReport) AppendBinary(dst []byte) []byte { return append(dst, byte(r.v)) }
+func (c *histClient) AppendReport(dst []byte, v int) []byte { return append(dst, byte(v)) }
+func (c *histClient) WireRegistration() loloha.Registration { return loloha.Registration{} }
+func (c *histClient) Charge(v int)                          {}
+func (c *histClient) PrivacySpent() float64                 { return math.Inf(1) } // no privacy at all
 
 // histTallier tallies one-byte payloads into a histAgg.
 type histTallier struct{ k int }
@@ -83,14 +66,16 @@ func (t histTallier) TallyCell(agg loloha.Aggregator, _ int, cell []byte, _ lolo
 }
 
 // histAgg embeds the library's round state, which brings the snapshot
-// contract (ExportTally/ImportTally) with it.
+// half of the contract (ExportTally/ImportTally) and the body of Merge
+// (Absorb) with it.
 type histAgg struct {
 	loloha.Tally
 	k int
 }
 
-func (a *histAgg) Add(userID int, rep loloha.Report) { a.AddIndex(rep.(histReport).v); a.N++ }
-func (a *histAgg) EstimateDomain() int               { return a.k }
+func (a *histAgg) Fork() loloha.Aggregator       { return &histAgg{k: a.k, Tally: loloha.NewTally(a.k)} }
+func (a *histAgg) Merge(other loloha.Aggregator) { a.Absorb(&other.(*histAgg).Tally) }
+func (a *histAgg) EstimateDomain() int           { return a.k }
 func (a *histAgg) EndRound() []float64 {
 	defer a.Reset()
 	est := make([]float64, a.k)
@@ -102,18 +87,12 @@ func (a *histAgg) EndRound() []float64 {
 	return est
 }
 
-// (histAgg is deliberately NOT mergeable: the stream must degrade to a
-// single shard and still work.)
-
 func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.StreamOption) {
 	t.Helper()
 	const n = 64
 	stream, err := loloha.NewStream(proto, opts...)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if got := stream.Shards(); got != 1 {
-		t.Fatalf("non-mergeable external aggregator got %d shards, want serial fallback", got)
 	}
 	sub := stream.Subscribe()
 	userIDs := make([]int, n)
@@ -123,7 +102,7 @@ func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.Str
 			t.Fatal(err)
 		}
 		userIDs[u] = u
-		payloads[u] = proto.NewClient(0).Report(u % 4).AppendBinary(nil)
+		payloads[u] = proto.NewClient(0).AppendReport(nil, u%4)
 	}
 	if err := stream.IngestBatch(userIDs, payloads); err != nil {
 		t.Fatal(err)
@@ -144,19 +123,8 @@ func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.Str
 }
 
 func TestExternalWireProtocolRoundTrip(t *testing.T) {
-	runExternalProtocol(t, newExternalProtocol(10, true))
-}
-
-// TestExternalProtocolWithoutTallierRejected: NewStream refuses a
-// protocol without the tally contract, and the error names the contract
-// the protocol is missing.
-func TestExternalProtocolWithoutTallierRejected(t *testing.T) {
-	_, err := loloha.NewStream(newExternalProtocol(10, false))
-	if err == nil {
-		t.Fatal("protocol without a tallier accepted")
-	}
-	if !strings.Contains(err.Error(), "TallyProtocol") {
-		t.Fatalf("error %q does not name the missing TallyProtocol contract", err)
+	for _, shards := range []int{1, 4} {
+		runExternalProtocol(t, newExternalProtocol(10), loloha.WithShards(shards))
 	}
 }
 
@@ -169,7 +137,7 @@ func TestSpecExternalFamilyRegistry(t *testing.T) {
 		Doc:      "noise-free histogram (test-only)",
 		Required: []loloha.SpecField{loloha.SpecFieldK},
 		Build: func(s loloha.ProtocolSpec) (loloha.Protocol, error) {
-			return &histProto{histBase{k: s.K, name: fam}}, nil
+			return &histProto{k: s.K, name: fam}, nil
 		},
 	})
 	defer loloha.RegisterFamily(fam, loloha.FamilyInfo{}) // zero info unregisters
@@ -182,9 +150,8 @@ func TestSpecExternalFamilyRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	runExternalProtocol(t, proto)
-	// histProto does not implement SpecProtocol; SpecOf reports that
-	// honestly instead of inventing a description.
-	if _, ok := loloha.SpecOf(proto); ok {
-		t.Error("SpecOf invented a spec for a protocol without Spec()")
+	// The built protocol describes itself with the spec it was built from.
+	if got, want := proto.Spec(), (loloha.ProtocolSpec{Family: fam, K: 10}); got != want {
+		t.Errorf("built protocol's spec %+v, want %+v", got, want)
 	}
 }

@@ -43,15 +43,6 @@ type Protocol struct {
 	cacheSupport bool
 }
 
-// Wire contracts (wirecontract): without TallyProtocol no Stream can
-// ingest the protocol; without AppendReporter clients take the boxed
-// Report path.
-var (
-	_ longitudinal.SpecProtocol   = (*Protocol)(nil)
-	_ longitudinal.TallyProtocol  = (*Protocol)(nil)
-	_ longitudinal.AppendReporter = (*Client)(nil)
-)
-
 // Option customizes a Protocol.
 type Option func(*config)
 
@@ -228,17 +219,8 @@ func (p *Protocol) newClient(seed uint64) *Client {
 // once ("Send H", Algorithm 1 line 2) as part of the first report.
 func (c *Client) HashSeed() uint64 { return c.hash.Seed() }
 
-// Report implements longitudinal.Client: hash, memoized PRR, fresh IRR.
-func (c *Client) Report(v int) longitudinal.Report {
-	return c.ReportValue(v)
-}
-
-// ReportValue is Report with a concrete return type.
-func (c *Client) ReportValue(v int) Report {
-	return Report{HashSeed: c.hash.Seed(), X: c.reportCell(v), g: c.proto.g}
-}
-
-// reportCell runs one round and returns the sanitized hash cell.
+// reportCell runs one round — hash, memoized PRR, fresh IRR — and
+// returns the sanitized hash cell.
 //
 //loloha:noalloc
 func (c *Client) reportCell(v int) int {
@@ -253,16 +235,15 @@ func (c *Client) reportCell(v int) int {
 	return c.proto.irr.Perturb(memo, c.rng) // IRR step
 }
 
-// AppendReport implements longitudinal.AppendReporter: the sanitized cell
-// straight into wire bytes — no boxed report, zero allocations when dst
-// has capacity.
+// AppendReport implements longitudinal.Client: the sanitized cell
+// straight into wire bytes, zero allocations when dst has capacity.
 //
 //loloha:noalloc
 func (c *Client) AppendReport(dst []byte, v int) []byte {
 	return freqoracle.AppendGRRReport(dst, c.reportCell(v), c.proto.g)
 }
 
-// WireRegistration implements longitudinal.AppendReporter: the hash seed
+// WireRegistration implements longitudinal.Client: the hash seed
 // the server resolves the client's hash function from (Algorithm 1,
 // "Send H").
 func (c *Client) WireRegistration() longitudinal.Registration {
@@ -270,7 +251,7 @@ func (c *Client) WireRegistration() longitudinal.Registration {
 }
 
 // Charge implements longitudinal.Client: it advances the privacy ledger as
-// Report would, without the PRR/IRR work.
+// AppendReport would, without the PRR/IRR work.
 //
 //loloha:noalloc
 func (c *Client) Charge(v int) {
@@ -284,20 +265,12 @@ func (c *Client) Charge(v int) {
 // cells used), capped at g·ε∞.
 func (c *Client) PrivacySpent() float64 { return c.ledger.Spent() }
 
-// Report is one LOLOHA round payload: the sanitized hash cell. HashSeed
-// rides along for server registration; only the cell travels each round in
-// steady state.
+// Report is a decoded LOLOHA round payload: the sanitized hash cell X,
+// with the hash seed the user registered (only the cell travels each
+// round in steady state).
 type Report struct {
 	HashSeed uint64
 	X        int
-	g        int
-}
-
-// AppendBinary implements longitudinal.Report (steady state: the cell only).
-//
-//loloha:noalloc
-func (r Report) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendGRRReport(dst, r.X, r.g)
 }
 
 // DecodeReport reads a steady-state LOLOHA round payload. The hash seed is
@@ -308,7 +281,7 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 	if err != nil {
 		return Report{}, nil, err
 	}
-	return Report{HashSeed: hashSeed, X: x, g: g}, rest, nil
+	return Report{HashSeed: hashSeed, X: x}, rest, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -327,7 +300,7 @@ type Aggregator struct {
 	hashes   map[int]hashfamily.Hash // userID -> H_u, without the cache
 	slots    map[int]int32           // userID -> the user's slot in masks, with the cache
 	masks    []uint64                // slot s holds its planes at [s·hashBits·len(row), …), plane by plane
-	row      []uint64                // AddReport's support-row scratch
+	row      []uint64                // addCell's support-row scratch
 }
 
 // NewAggregator implements longitudinal.Protocol.
@@ -351,30 +324,18 @@ func (p *Protocol) NewServer() *Aggregator {
 	return a
 }
 
-// Add implements longitudinal.Aggregator: counts support C(v) for every
-// candidate value (the n·k server loop of Table 1).
-func (a *Aggregator) Add(userID int, rep longitudinal.Report) {
-	r, ok := rep.(Report)
-	if !ok {
-		panic(fmt.Sprintf("core: LOLOHA aggregator got %T", rep))
-	}
-	a.AddReport(userID, r)
-}
-
-// AddReport is Add with a concrete report type: it builds the report's
-// support row and adds it to the tally.
+// addCell counts support C(v) for every candidate value (the n·k server
+// loop of Table 1): it builds the support row of hash cell x for the user
+// registered with hashSeed and adds it to the tally. x is in [0..g).
 //
 //loloha:noalloc
-func (a *Aggregator) AddReport(userID int, r Report) {
-	if r.X < 0 || r.X >= a.proto.g {
-		panic(fmt.Sprintf("core: LOLOHA report %d outside [0,%d)", r.X, a.proto.g))
-	}
+func (a *Aggregator) addCell(userID int, hashSeed uint64, x int) {
 	row := a.row
 	if a.slots != nil {
 		slot, ok := a.slots[userID]
 		//loloha:alloc-ok cold: the user's hash planes are built once, on first report
 		if !ok {
-			slot = a.addPlanes(userID, r.HashSeed)
+			slot = a.addPlanes(userID, hashSeed)
 		}
 		nw := len(row)
 		planes := a.masks[int(slot)*a.hashBits*nw:][:a.hashBits*nw]
@@ -382,7 +343,7 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 			support := ^uint64(0)
 			for b := 0; b < a.hashBits; b++ {
 				// XNOR: the positions whose hash bit b equals x's.
-				support &= planes[b*nw+w] ^ (uint64(r.X>>b&1) - 1)
+				support &= planes[b*nw+w] ^ (uint64(x>>b&1) - 1)
 			}
 			row[w] = support
 		}
@@ -390,12 +351,12 @@ func (a *Aggregator) AddReport(userID int, r Report) {
 		h, ok := a.hashes[userID]
 		//loloha:alloc-ok cold: the user's hash is resolved once, on first report
 		if !ok {
-			h = a.proto.family.FromSeed(r.HashSeed)
+			h = a.proto.family.FromSeed(hashSeed)
 			a.hashes[userID] = h
 		}
 		clear(row)
 		for v := 0; v < a.proto.k; v++ {
-			if h.Index(v) == r.X {
+			if h.Index(v) == x {
 				row[v>>6] |= 1 << (uint(v) & 63)
 			}
 		}
@@ -424,12 +385,12 @@ func (a *Aggregator) addPlanes(userID int, seed uint64) int32 {
 	return slot
 }
 
-// Fork implements longitudinal.MergeableAggregator.
+// Fork implements longitudinal.Aggregator.
 func (a *Aggregator) Fork() longitudinal.Aggregator {
 	return a.proto.NewServer()
 }
 
-// Merge implements longitudinal.MergeableAggregator: it folds other's
+// Merge implements longitudinal.Aggregator: it folds other's
 // round tallies into the receiver and resets them. other keeps its
 // per-user hash registrations (they are keyed by the users the fork
 // tallies, which stay with the fork across rounds).

@@ -91,7 +91,7 @@ func TestTheorem35LongitudinalBudget(t *testing.T) {
 	// A client cycling through the whole domain can never exceed g·ε∞.
 	cl := p.newClient(77)
 	for v := 0; v < 1000; v++ {
-		cl.Report(v)
+		cl.AppendReport(nil, v)
 	}
 	if got := cl.PrivacySpent(); got > 8+1e-12 {
 		t.Errorf("client spent %v, cap is 8", got)
@@ -116,13 +116,13 @@ func TestLedgerChargesPerHashCellNotPerValue(t *testing.T) {
 			vDiff = v
 		}
 	}
-	cl.Report(0)
+	cl.AppendReport(nil, 0)
 	spent0 := cl.PrivacySpent()
-	cl.Report(vSame)
+	cl.AppendReport(nil, vSame)
 	if cl.PrivacySpent() != spent0 {
 		t.Error("colliding value charged a fresh ε∞")
 	}
-	cl.Report(vDiff)
+	cl.AppendReport(nil, vDiff)
 	if cl.PrivacySpent() <= spent0 {
 		t.Error("new hash cell did not charge ε∞")
 	}
@@ -172,7 +172,7 @@ func TestEndToEndStaticEstimation(t *testing.T) {
 		var est []float64
 		for round := 0; round < tau; round++ {
 			for u, v := range values {
-				agg.AddReport(u, clients[u].ReportValue(v))
+				tally(t, p, agg, u, clients[u], v)
 			}
 			est = agg.EndRound()
 		}
@@ -190,25 +190,33 @@ func TestCacheAndNoCacheAgree(t *testing.T) {
 	// The support-cache is a pure optimization: identical reports must give
 	// identical counts either way.
 	const k, n = 32, 500
-	mk := func(opts ...Option) (*Protocol, []longitudinal.Report) {
+	mk := func(opts ...Option) (*Protocol, [][]byte, []longitudinal.Registration) {
 		p, err := New(k, 4, 2, 1, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		reports := make([]longitudinal.Report, n)
+		payloads := make([][]byte, n)
+		regs := make([]longitudinal.Registration, n)
 		for u := 0; u < n; u++ {
 			cl := p.newClient(uint64(u))
-			reports[u] = cl.ReportValue(u % k)
+			payloads[u] = cl.AppendReport(nil, u%k)
+			regs[u] = cl.WireRegistration()
 		}
-		return p, reports
+		return p, payloads, regs
 	}
-	pc, reports := mk()
-	pn, _ := mk(WithoutSupportCache())
+	pc, payloads, regs := mk()
+	pn, _, _ := mk(WithoutSupportCache())
 
 	aggC, aggN := pc.NewServer(), pn.NewServer()
-	for u, rep := range reports {
-		aggC.Add(u, rep)
-		aggN.Add(u, rep)
+	for u, payload := range payloads {
+		for _, pa := range []struct {
+			p   *Protocol
+			agg *Aggregator
+		}{{pc, aggC}, {pn, aggN}} {
+			if err := longitudinal.TallyPayload(pa.p.WireTallier(), pa.agg, u, payload, regs[u]); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
 	estC, estN := aggC.EndRound(), aggN.EndRound()
 	for v := range estC {
@@ -221,8 +229,7 @@ func TestCacheAndNoCacheAgree(t *testing.T) {
 func TestReportEncodingWidth(t *testing.T) {
 	p, _ := New(1000, 16, 3, 1)
 	cl := p.newClient(1)
-	rep := cl.ReportValue(500)
-	if got := len(rep.AppendBinary(nil)); got != 1 {
+	if got := len(cl.AppendReport(nil, 500)); got != 1 {
 		t.Errorf("g=16 report uses %d bytes, want 1", got)
 	}
 	if p.SteadyReportBits() != 4 {
@@ -236,18 +243,15 @@ func TestReportEncodingWidth(t *testing.T) {
 
 func TestAggregatorRejectsForeignReport(t *testing.T) {
 	p, _ := NewBinary(10, 2, 1)
-	agg := p.NewServer()
-	defer func() {
-		if recover() == nil {
-			t.Fatal("foreign report accepted")
-		}
-	}()
-	agg.Add(0, fakeReport{})
+	other, _ := NewBinary(10, 2, 1)
+	ct := p.WireTallier()
+	if err := ct.TallyCell(other.NewServer(), 0, []byte{0}, longitudinal.Registration{}); err == nil {
+		t.Fatal("foreign aggregator accepted")
+	}
+	if err := ct.TallyCell(p.NewServer(), 0, []byte{2}, longitudinal.Registration{}); err == nil {
+		t.Fatal("report outside [0,g) accepted")
+	}
 }
-
-type fakeReport struct{}
-
-func (fakeReport) AppendBinary(dst []byte) []byte { return dst }
 
 func TestClientPanicsOnOutOfRange(t *testing.T) {
 	p, _ := NewBinary(10, 2, 1)
@@ -257,7 +261,16 @@ func TestClientPanicsOnOutOfRange(t *testing.T) {
 			t.Fatal("out-of-range value accepted")
 		}
 	}()
-	cl.ReportValue(10)
+	cl.AppendReport(nil, 10)
+}
+
+// tally emits cl's report of v and tallies it into agg through p's
+// tallier — the generate→tally round trip every collection layer takes.
+func tally(t testing.TB, p *Protocol, agg *Aggregator, u int, cl *Client, v int) {
+	t.Helper()
+	if err := longitudinal.TallyPayload(p.WireTallier(), agg, u, cl.AppendReport(nil, v), cl.WireRegistration()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestProtocolImplementsLongitudinalInterface(t *testing.T) {

@@ -60,7 +60,7 @@ func TestExactIRREndToEndStillUnbiased(t *testing.T) {
 	}
 	agg := proto.NewServer()
 	for u, v := range values {
-		agg.AddReport(u, clients[u].ReportValue(v))
+		tally(t, proto, agg, u, clients[u], v)
 	}
 	est := agg.EndRound()
 	sd := math.Sqrt(proto.ApproxVariance(n))

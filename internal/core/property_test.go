@@ -32,8 +32,8 @@ func TestQuickClientReportsInRange(t *testing.T) {
 			return false
 		}
 		cl := p.newClient(seed)
-		rep := cl.ReportValue(int(vRaw) % k)
-		return rep.X >= 0 && rep.X < g && rep.HashSeed == cl.HashSeed()
+		rep, rest, err := DecodeReport(cl.AppendReport(nil, int(vRaw)%k), g, cl.WireRegistration().HashSeed)
+		return err == nil && len(rest) == 0 && rep.X >= 0 && rep.X < g && rep.HashSeed == cl.HashSeed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
@@ -69,7 +69,7 @@ func TestQuickAggregatorCountsBounded(t *testing.T) {
 		agg := p.NewServer()
 		for u, s := range seeds {
 			cl := p.newClient(uint64(s) + 1)
-			agg.AddReport(u, cl.ReportValue(int(s)%k))
+			tally(t, p, agg, u, cl, int(s)%k)
 		}
 		n := int64(len(seeds))
 		for _, c := range agg.Counts() {
@@ -97,7 +97,7 @@ func TestQuickEstimatesSumNearOne(t *testing.T) {
 	agg := p.NewServer()
 	for u := 0; u < n; u++ {
 		cl := p.newClient(uint64(u))
-		agg.AddReport(u, cl.ReportValue(u%k))
+		tally(t, p, agg, u, cl, u%k)
 	}
 	est := agg.EndRound()
 	sum := 0.0

@@ -11,7 +11,7 @@ import (
 // serialized longitudinal.ProtocolSpec reaches Algorithm 1/2 without any
 // positional constructor call.
 
-// Spec implements longitudinal.SpecProtocol. The generic "LOLOHA" family
+// Spec implements longitudinal.Protocol. The generic "LOLOHA" family
 // carries its explicit g; BiLOLOHA (g = 2) and OLOLOHA (g from Eq. (6))
 // derive g from the family, so their specs omit it and re-derive it on
 // Build. Non-default construction options (custom hash family, exact IRR

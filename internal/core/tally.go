@@ -7,17 +7,13 @@ import (
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 )
 
-// Snapshot-contract assertion (wirecontract): the LOLOHA aggregator's
-// round state is the embedded longitudinal.Tally like every other
-// family's — its per-user hashes and bit-planes are pure functions of the
-// enrolled hash seeds and rebuild lazily after a restore, so they are
-// deliberately not exported.
-var _ longitudinal.SnapshotTallier = (*Aggregator)(nil)
-
-// WireTallier implements longitudinal.TallyProtocol: LOLOHA payloads tally
-// directly into the aggregator's support counts, with no Report
-// materialized and zero steady-state allocations (the user's hash
-// bit-planes are built once, on the user's first report).
+// WireTallier implements longitudinal.Protocol: LOLOHA payloads tally
+// directly into the aggregator's support counts with zero steady-state
+// allocations (the user's hash bit-planes are built once, on the user's
+// first report). The aggregator's round state is the embedded
+// longitudinal.Tally like every other family's; its per-user hashes and
+// bit-planes are pure functions of the enrolled hash seeds and rebuild
+// lazily after a restore, so they are deliberately not exported.
 func (p *Protocol) WireTallier() longitudinal.ColumnarTallier { return wireTallier{proto: p} }
 
 type wireTallier struct{ proto *Protocol }
@@ -41,6 +37,6 @@ func (t wireTallier) TallyCell(agg longitudinal.Aggregator, userID int, cell []b
 	if err != nil {
 		return err
 	}
-	a.AddReport(userID, Report{HashSeed: reg.HashSeed, X: x, g: t.proto.g})
+	a.addCell(userID, reg.HashSeed, x)
 	return nil
 }

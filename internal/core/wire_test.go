@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
@@ -14,25 +16,24 @@ func TestLolohaReportWireRoundTrip(t *testing.T) {
 	}
 	cl := p.newClient(9)
 	for i := 0; i < 40; i++ {
-		rep := cl.ReportValue(i % 200)
-		buf := rep.AppendBinary(nil)
+		buf := cl.AppendReport(nil, i%200)
 		if len(buf) != 1 {
 			t.Fatalf("g=16 payload %d bytes, want 1", len(buf))
 		}
-		got, rest, err := DecodeReport(buf, 16, rep.HashSeed)
+		got, rest, err := DecodeReport(buf, 16, cl.HashSeed())
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rest) != 0 || got.X != rep.X || got.HashSeed != rep.HashSeed {
-			t.Fatalf("round trip mismatch: %+v vs %+v", got, rep)
+		if len(rest) != 0 || !bytes.Equal(freqoracle.AppendGRRReport(nil, got.X, 16), buf) || got.HashSeed != cl.HashSeed() {
+			t.Fatalf("round trip mismatch: %+v from %x", got, buf)
 		}
 	}
 }
 
 func TestLolohaReportMatchesAppendReport(t *testing.T) {
-	// Same-seed clients on the boxed and append paths must emit identical
-	// wire bytes and identical registration metadata, for each acceptance
-	// domain size.
+	// Same-seed clients must emit identical wire bytes — the wire form of
+	// the cell the decoder reads back — and identical registration
+	// metadata, for each acceptance domain size.
 	for _, k := range []int{16, 64, 1024} {
 		p, err := NewOptimal(k, 2, 1)
 		if err != nil {
@@ -45,15 +46,14 @@ func TestLolohaReportMatchesAppendReport(t *testing.T) {
 		var buf []byte
 		for i := 0; i < 30; i++ {
 			v := (i * 11) % k
-			boxed := clA.ReportValue(v).AppendBinary(nil)
+			ref := clA.AppendReport(nil, v)
 			buf = clB.AppendReport(buf[:0], v)
-			if len(buf) != len(boxed) {
-				t.Fatalf("k=%d: payload %d bytes vs %d", k, len(buf), len(boxed))
+			rep, _, err := DecodeReport(buf, p.G(), clB.HashSeed())
+			if err != nil {
+				t.Fatal(err)
 			}
-			for j := range buf {
-				if buf[j] != boxed[j] {
-					t.Fatalf("k=%d round %d: Report %x != AppendReport %x", k, i, boxed, buf)
-				}
+			if decoded := freqoracle.AppendGRRReport(nil, rep.X, p.G()); !bytes.Equal(ref, buf) || !bytes.Equal(decoded, buf) {
+				t.Fatalf("k=%d round %d: reference %x, decoded %x, AppendReport %x", k, i, ref, decoded, buf)
 			}
 		}
 		if clA.PrivacySpent() != clB.PrivacySpent() {
@@ -73,13 +73,15 @@ func TestLolohaWireAggregationEquivalence(t *testing.T) {
 	r := randsrc.NewSeeded(5)
 	for u := 0; u < n; u++ {
 		cl := p.newClient(uint64(u))
-		rep := cl.ReportValue(r.Intn(k))
-		direct.AddReport(u, rep)
-		decoded, _, err := DecodeReport(rep.AppendBinary(nil), p.G(), rep.HashSeed)
+		buf := cl.AppendReport(nil, r.Intn(k))
+		if err := p.WireTallier().TallyCell(direct, u, buf, cl.WireRegistration()); err != nil {
+			t.Fatal(err)
+		}
+		decoded, _, err := DecodeReport(buf, p.G(), cl.HashSeed())
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaWire.AddReport(u, decoded)
+		viaWire.addCell(u, decoded.HashSeed, decoded.X)
 	}
 	a, b := direct.EndRound(), viaWire.EndRound()
 	for v := range a {

@@ -137,7 +137,10 @@ func TestEndToEndWithLolohaEstimates(t *testing.T) {
 	}
 	for round := 0; round < rounds; round++ {
 		for u, v := range values {
-			agg.Add(u, clients[u].Report(v))
+			payload := clients[u].AppendReport(nil, v)
+			if err := longitudinal.TallyPayload(proto.WireTallier(), agg, u, payload, clients[u].WireRegistration()); err != nil {
+				t.Fatal(err)
+			}
 		}
 		tr.Observe(agg.EndRound())
 	}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/bits"
 
-	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/privacy"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
@@ -114,15 +113,6 @@ type ChainUE struct {
 	sampler freqoracle.ReportSampler
 }
 
-// Wire contracts (wirecontract): without TallyProtocol no Stream can
-// ingest the protocol; without AppendReporter clients take the boxed
-// Report path.
-var (
-	_ SpecProtocol   = (*ChainUE)(nil)
-	_ TallyProtocol  = (*ChainUE)(nil)
-	_ AppendReporter = (*chainUEClient)(nil)
-)
-
 // NewChainUE builds a chained-UE protocol from explicit parameters;
 // normally constructed through NewRAPPOR, NewLOSUE, NewLOUE or NewLSOUE.
 func NewChainUE(name string, k int, params ChainParams, epsInf, eps1 float64) (*ChainUE, error) {
@@ -196,7 +186,7 @@ func (c *ChainUE) ApproxVariance(n int) float64 { return c.params.ApproxVariance
 // SteadyReportBits implements Protocol: a UE report is k bits per round.
 func (c *ChainUE) SteadyReportBits() int { return c.k }
 
-// Spec implements SpecProtocol. Chains built through NewChainUE with a
+// Spec implements Protocol. Chains built through NewChainUE with a
 // custom name yield a spec whose family may not be registered; the four
 // standard calibrations round-trip.
 func (c *ChainUE) Spec() ProtocolSpec {
@@ -235,7 +225,6 @@ type chainUEClient struct {
 	nw       int
 	slots    map[int]int
 	p1T, q1T uint64
-	wire     []byte // Report() scratch: one payload, reused across rounds
 	ledger   *privacy.Ledger
 }
 
@@ -287,19 +276,7 @@ func (cl *chainUEClient) materialize(v int) int {
 	return s
 }
 
-// Report implements Client: one-hot encode, PRR (memoized), then IRR. It
-// is the boxed reference path — AppendReport emits the same bytes with
-// no Bitset or Report value.
-func (cl *chainUEClient) Report(v int) Report {
-	cl.wire = cl.AppendReport(cl.wire[:0], v)
-	rep, _, err := DecodeUEReport(cl.wire, cl.proto.k)
-	if err != nil {
-		panic(err) // impossible: the scratch holds exactly one payload
-	}
-	return rep
-}
-
-// AppendReport implements AppendReporter: one sampler round anchored at
+// AppendReport implements Client: one sampler round anchored at
 // the next word of the client's stream, with the memoized PRR mask as the
 // upgraded positions. The ledger is charged when the mask materializes: a
 // cached mask means v was charged already. Steady state (warm caches,
@@ -311,7 +288,7 @@ func (cl *chainUEClient) AppendReport(dst []byte, v int) []byte {
 	return cl.proto.sampler.AppendReport(dst, cl.rng.Uint64(), mask)
 }
 
-// WireRegistration implements AppendReporter: chained UE needs no
+// WireRegistration implements Client: chained UE needs no
 // enrollment metadata.
 func (cl *chainUEClient) WireRegistration() Registration { return Registration{} }
 
@@ -328,16 +305,6 @@ func (cl *chainUEClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *chainUEClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// UEReport is a chained-UE round payload: the k sanitized bits.
-type UEReport struct {
-	Bits *bitset.Bitset
-}
-
-// AppendBinary implements Report.
-func (r UEReport) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendUEReport(dst, r.Bits)
-}
-
 // chainUEAggregator tallies one round of UE reports.
 type chainUEAggregator struct {
 	Tally
@@ -350,26 +317,12 @@ func (c *ChainUE) NewAggregator() Aggregator {
 	return &chainUEAggregator{proto: c, Tally: NewTally(c.k), row: make([]uint64, RowWords(c.k))}
 }
 
-// Add implements Aggregator.
-func (a *chainUEAggregator) Add(userID int, rep Report) {
-	ue, ok := rep.(UEReport)
-	if !ok {
-		panic(fmt.Sprintf("longitudinal: %s aggregator got %T", a.proto.name, rep))
-	}
-	if ue.Bits.Len() != a.proto.k {
-		panic(fmt.Sprintf("longitudinal: %s report has %d bits, want %d",
-			a.proto.name, ue.Bits.Len(), a.proto.k))
-	}
-	a.AddRow(ue.Bits.Words())
-	a.N++
-}
-
-// Fork implements MergeableAggregator.
+// Fork implements Aggregator.
 func (a *chainUEAggregator) Fork() Aggregator {
 	return a.proto.NewAggregator()
 }
 
-// Merge implements MergeableAggregator.
+// Merge implements Aggregator.
 func (a *chainUEAggregator) Merge(other Aggregator) {
 	o, ok := other.(*chainUEAggregator)
 	if !ok || o.proto != a.proto {

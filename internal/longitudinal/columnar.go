@@ -17,7 +17,7 @@ import (
 // framing at all. The layout:
 //
 //	u32 LE  magic "LCB1"
-//	u64 LE  spec hash (ProtocolSpec.Hash of the batch's protocol; 0 = none)
+//	u64 LE  spec hash (ProtocolSpec.Hash of the batch's protocol)
 //	u32 LE  round (informational; servers own round boundaries)
 //	u32 LE  count n
 //	u32 LE  payload stride s
@@ -79,26 +79,6 @@ func (s ProtocolSpec) Hash() uint64 {
 	return h
 }
 
-// SpecHashOf returns the spec hash of a built protocol, or 0 when the
-// protocol cannot describe itself declaratively (SpecProtocol). A stream
-// for a spec-less protocol accepts only hash-0 batches.
-func SpecHashOf(p Protocol) uint64 {
-	if sp, ok := SpecOf(p); ok {
-		return sp.Hash()
-	}
-	return 0
-}
-
-// ColumnarStrideOf returns the steady-state payload stride of the
-// protocol's tallier, when the protocol can be tallied (TallyProtocol).
-func ColumnarStrideOf(p Protocol) (int, bool) {
-	tp, ok := p.(TallyProtocol)
-	if !ok {
-		return 0, false
-	}
-	return tp.WireTallier().PayloadStride(), true
-}
-
 // ---------------------------------------------------------------------------
 // Decoding.
 
@@ -106,7 +86,7 @@ func ColumnarStrideOf(p Protocol) (int, bool) {
 // slices across calls, and the payload column aliases the decode source —
 // a batch is a view, valid until the source buffer is reused.
 type ColumnarBatch struct {
-	// SpecHash is the batch's protocol fingerprint (0 = unspecified).
+	// SpecHash is the batch's protocol fingerprint (ProtocolSpec.Hash).
 	SpecHash uint64
 	// Round is the informational round index from the header.
 	Round uint32
@@ -276,8 +256,7 @@ type ColumnarWriter struct {
 }
 
 // NewColumnarWriter returns a writer for batches of stride-byte payload
-// cells carrying the given spec hash (SpecHashOf of the protocol, or 0
-// for a protocol with no spec).
+// cells carrying the given spec hash (p.Spec().Hash() of the protocol).
 func NewColumnarWriter(specHash uint64, stride int) (*ColumnarWriter, error) {
 	if stride <= 0 {
 		return nil, fmt.Errorf("longitudinal: columnar payload stride must be positive, got %d", stride)

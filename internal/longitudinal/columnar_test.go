@@ -252,18 +252,13 @@ func TestColumnarStrideOf(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Build(%+v): %v", c.spec, err)
 		}
-		stride, ok := ColumnarStrideOf(p)
-		if !ok {
-			t.Fatalf("%s: no columnar stride", c.spec.Family)
-		}
-		if stride != c.stride {
+		if stride := p.WireTallier().PayloadStride(); stride != c.stride {
 			t.Errorf("%s stride = %d, want %d", c.spec.Family, stride, c.stride)
 		}
 		// Producer and server both derive the hash from the protocol's
-		// normalized spec, so SpecHashOf must agree with SpecOf's hash.
-		sp, ok := SpecOf(p)
-		if !ok || SpecHashOf(p) != sp.Hash() {
-			t.Errorf("%s: SpecHashOf disagrees with the built spec", c.spec.Family)
+		// normalized spec; these specs are already normalized.
+		if p.Spec().Hash() != c.spec.Hash() {
+			t.Errorf("%s: the built protocol's spec hash disagrees with its spec", c.spec.Family)
 		}
 	}
 }

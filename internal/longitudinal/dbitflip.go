@@ -28,13 +28,6 @@ type DBitFlipPM struct {
 	sampler freqoracle.ReportSampler
 }
 
-// Wire contracts (wirecontract).
-var (
-	_ SpecProtocol   = (*DBitFlipPM)(nil)
-	_ TallyProtocol  = (*DBitFlipPM)(nil)
-	_ AppendReporter = (*dBitClient)(nil)
-)
-
 // NewDBitFlipPM returns a dBitFlipPM protocol over domain size k with b
 // buckets, d sampled bits per user and longitudinal budget epsInf. The
 // bounds k >= 2, 2 <= b <= k and 1 <= d <= b are all validated here with
@@ -107,7 +100,7 @@ func (m *DBitFlipPM) ApproxVariance(n int) float64 {
 // SteadyReportBits implements Protocol: d bits per round (Table 1).
 func (m *DBitFlipPM) SteadyReportBits() int { return m.d }
 
-// Spec implements SpecProtocol. The family is always the generic
+// Spec implements Protocol. The family is always the generic
 // "dBitFlipPM" with explicit b and d — the canonical form the 1BitFlipPM /
 // bBitFlipPM convenience families normalize to.
 func (m *DBitFlipPM) Spec() ProtocolSpec {
@@ -174,31 +167,8 @@ func (cl *dBitClient) packedOf(inputBucket int) []byte {
 	return m
 }
 
-// memoBit returns the memoized randomized bit for (input bucket, sampled
-// slot l): Bernoulli(p) when the input falls in the sampled bucket,
-// Bernoulli(q) otherwise, fixed forever by the PRF behind packedOf.
-func (cl *dBitClient) memoBit(inputBucket, l int) bool {
-	m := cl.packedOf(inputBucket)
-	return m[l>>3]>>(uint(l)&7)&1 == 1
-}
-
-// Report implements Client. The privacy ledger charges per distinct
-// *memoized state*: the input bucket collapses to "which sampled bucket it
-// hits, if any", so at most min(d+1, b) states exist (Table 1). Bits is a
-// fresh slice — callers (the Table 2 adversary) hold reports across
-// rounds — so Report allocates; AppendReport is the zero-allocation path.
-func (cl *dBitClient) Report(v int) Report {
-	cl.Charge(v)
-	m := cl.packedOf(cl.proto.z.Bucket(v))
-	bits := make([]bool, cl.proto.d)
-	for l := range bits {
-		bits[l] = m[l>>3]>>(uint(l)&7)&1 == 1
-	}
-	return DBitReport{Sampled: cl.sampled, Bits: bits}
-}
-
-// AppendReport implements AppendReporter: a memoized report is a straight
-// copy of the cached packed response — zero allocations once the bucket
+// AppendReport implements Client: a memoized report is a straight copy
+// of the cached packed response — zero allocations once the bucket
 // has been seen (at most b materializations ever; unsampled buckets share
 // a response *distribution* but are cached per bucket, since each draws
 // from its own PRF anchor).
@@ -209,7 +179,7 @@ func (cl *dBitClient) AppendReport(dst []byte, v int) []byte {
 	return append(dst, cl.packedOf(cl.proto.z.Bucket(v))...)
 }
 
-// WireRegistration implements AppendReporter: the fixed sampled buckets.
+// WireRegistration implements Client: the fixed sampled buckets.
 func (cl *dBitClient) WireRegistration() Registration {
 	return Registration{Sampled: cl.sampled}
 }
@@ -247,47 +217,6 @@ func (cl *dBitClient) memoStateOf(bucket int) int {
 // PrivacySpent implements Client.
 func (cl *dBitClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// Sampled exposes the client's fixed sampled buckets (used by the Table 2
-// attack harness to build ground truth).
-func (cl *dBitClient) Sampled() []int { return cl.sampled }
-
-// DBitReport is one round's payload: the user's fixed sampled buckets and
-// their memoized bits. Only the d bits travel each round; the sampled
-// indices are registration metadata.
-type DBitReport struct {
-	Sampled []int
-	Bits    []bool
-}
-
-// AppendBinary implements Report (steady state: d bits, byte-packed).
-func (r DBitReport) AppendBinary(dst []byte) []byte {
-	nBytes := (len(r.Bits) + 7) / 8
-	start := len(dst)
-	for i := 0; i < nBytes; i++ {
-		dst = append(dst, 0)
-	}
-	for i, bit := range r.Bits {
-		if bit {
-			dst[start+i/8] |= 1 << (uint(i) % 8)
-		}
-	}
-	return dst
-}
-
-// Equal reports whether two reports carry identical bits (the adversary's
-// change-detection test of Table 2).
-func (r DBitReport) Equal(o DBitReport) bool {
-	if len(r.Bits) != len(o.Bits) {
-		return false
-	}
-	for i := range r.Bits {
-		if r.Bits[i] != o.Bits[i] {
-			return false
-		}
-	}
-	return true
-}
-
 type dBitAggregator struct {
 	Tally
 	proto *DBitFlipPM
@@ -298,30 +227,12 @@ func (m *DBitFlipPM) NewAggregator() Aggregator {
 	return &dBitAggregator{proto: m, Tally: NewTally(m.b)}
 }
 
-// Add implements Aggregator.
-func (a *dBitAggregator) Add(userID int, rep Report) {
-	d, ok := rep.(DBitReport)
-	if !ok {
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM aggregator got %T", rep))
-	}
-	if len(d.Bits) != a.proto.d || len(d.Sampled) != a.proto.d {
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM report carries %d bits, want %d",
-			len(d.Bits), a.proto.d))
-	}
-	for l, j := range d.Sampled {
-		if d.Bits[l] {
-			a.AddIndex(j)
-		}
-	}
-	a.N++
-}
-
-// Fork implements MergeableAggregator.
+// Fork implements Aggregator.
 func (a *dBitAggregator) Fork() Aggregator {
 	return a.proto.NewAggregator()
 }
 
-// Merge implements MergeableAggregator.
+// Merge implements Aggregator.
 func (a *dBitAggregator) Merge(other Aggregator) {
 	o, ok := other.(*dBitAggregator)
 	if !ok || o.proto != a.proto {

@@ -31,7 +31,7 @@ func FuzzParseSpec(f *testing.F) {
 		if err != nil {
 			return
 		}
-		got := p.(SpecProtocol).Spec()
+		got := p.Spec()
 		if got.Family == "" || got.K != s.K {
 			t.Fatalf("built protocol reports spec %+v from %+v", got, s)
 		}

@@ -97,7 +97,7 @@ func computeGoldenDigests(t *testing.T) map[string]uint64 {
 			h := fnv.New64a()
 			var buf []byte
 			for u := 0; u < 8; u++ {
-				cl := proto.NewClient(randsrc.Derive(2023, uint64(u))).(AppendReporter)
+				cl := proto.NewClient(randsrc.Derive(2023, uint64(u)))
 				for _, v := range valueSequence(uint64(u)+5, k, 40) {
 					buf = cl.AppendReport(buf[:0], v)
 					h.Write(buf)
@@ -114,7 +114,7 @@ func computeGoldenDigests(t *testing.T) map[string]uint64 {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cl := proto.NewClient(99).(AppendReporter)
+		cl := proto.NewClient(99)
 		h := fnv.New64a()
 		var buf []byte
 		for i := 0; i < 700; i++ {
@@ -157,7 +157,7 @@ func computeGoldenDigests(t *testing.T) map[string]uint64 {
 		h := fnv.New64a()
 		var buf []byte
 		for u := 0; u < 8; u++ {
-			cl := proto.NewClient(randsrc.Derive(7, uint64(u))).(AppendReporter)
+			cl := proto.NewClient(randsrc.Derive(7, uint64(u)))
 			for _, v := range valueSequence(uint64(u)+9, 1024, 40) {
 				buf = cl.AppendReport(buf[:0], v)
 				h.Write(buf)

@@ -21,13 +21,6 @@ type LGRR struct {
 	params       ChainParams
 }
 
-// Wire contracts (wirecontract).
-var (
-	_ SpecProtocol   = (*LGRR)(nil)
-	_ TallyProtocol  = (*LGRR)(nil)
-	_ AppendReporter = (*lgrrClient)(nil)
-)
-
 // NewLGRR returns the L-GRR protocol for domain size k with longitudinal
 // budget epsInf and first-report budget eps1.
 func NewLGRR(k int, epsInf, eps1 float64) (*LGRR, error) {
@@ -80,7 +73,7 @@ func (m *LGRR) SteadyReportBits() int {
 	return int(math.Ceil(math.Log2(float64(m.k))))
 }
 
-// Spec implements SpecProtocol.
+// Spec implements Protocol.
 func (m *LGRR) Spec() ProtocolSpec {
 	return ProtocolSpec{Family: "L-GRR", K: m.k, EpsInf: m.epsInf, Eps1: m.eps1}
 }
@@ -114,20 +107,15 @@ func (cl *lgrrClient) reportValue(v int) int {
 	return cl.proto.irr.Perturb(memo, cl.rng)
 }
 
-// Report implements Client.
-func (cl *lgrrClient) Report(v int) Report {
-	return GRRValueReport{X: cl.reportValue(v), K: cl.proto.k}
-}
-
-// AppendReport implements AppendReporter: the sanitized value straight
-// into wire bytes, no boxed report.
+// AppendReport implements Client: the sanitized value straight into
+// wire bytes.
 //
 //loloha:noalloc
 func (cl *lgrrClient) AppendReport(dst []byte, v int) []byte {
 	return freqoracle.AppendGRRReport(dst, cl.reportValue(v), cl.proto.k)
 }
 
-// WireRegistration implements AppendReporter: L-GRR needs no enrollment
+// WireRegistration implements Client: L-GRR needs no enrollment
 // metadata.
 func (cl *lgrrClient) WireRegistration() Registration { return Registration{} }
 
@@ -144,18 +132,6 @@ func (cl *lgrrClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *lgrrClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// GRRValueReport is a scalar report over the domain [0..K); K fixes the
-// wire-encoding width.
-type GRRValueReport struct {
-	X int
-	K int
-}
-
-// AppendBinary implements Report.
-func (r GRRValueReport) AppendBinary(dst []byte) []byte {
-	return freqoracle.AppendGRRReport(dst, r.X, r.K)
-}
-
 type lgrrAggregator struct {
 	Tally
 	proto *LGRR
@@ -166,25 +142,12 @@ func (m *LGRR) NewAggregator() Aggregator {
 	return &lgrrAggregator{proto: m, Tally: NewTally(m.k)}
 }
 
-// Add implements Aggregator.
-func (a *lgrrAggregator) Add(userID int, rep Report) {
-	g, ok := rep.(GRRValueReport)
-	if !ok {
-		panic(fmt.Sprintf("longitudinal: L-GRR aggregator got %T", rep))
-	}
-	if g.X < 0 || g.X >= a.proto.k {
-		panic(fmt.Sprintf("longitudinal: L-GRR report %d outside [0,%d)", g.X, a.proto.k))
-	}
-	a.AddIndex(g.X)
-	a.N++
-}
-
-// Fork implements MergeableAggregator.
+// Fork implements Aggregator.
 func (a *lgrrAggregator) Fork() Aggregator {
 	return a.proto.NewAggregator()
 }
 
-// Merge implements MergeableAggregator.
+// Merge implements Aggregator.
 func (a *lgrrAggregator) Merge(other Aggregator) {
 	o, ok := other.(*lgrrAggregator)
 	if !ok || o.proto != a.proto {

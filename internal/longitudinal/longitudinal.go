@@ -23,74 +23,45 @@ import (
 	"math"
 )
 
-// Report is one round's sanitized payload. AppendBinary produces the
-// steady-state wire form (registration metadata such as the hash seed or
-// the sampled bucket indices is sent once, out of band, and excluded).
-type Report interface {
-	AppendBinary(dst []byte) []byte
-}
-
-// Client is the user-side state of a longitudinal protocol: it sanitizes
-// one value per collection round and tracks its own longitudinal privacy
-// ledger (Definition 3.2).
+// Client is the user-side state of a longitudinal protocol (Algorithm 1):
+// it sanitizes one value per collection round into the steady-state wire
+// payload and tracks its own longitudinal privacy ledger (Definition 3.2).
 type Client interface {
-	// Report sanitizes v (an index in [0..k)) for the current round and
-	// advances the client's clock.
-	Report(v int) Report
-	// Charge advances the privacy ledger exactly as Report(v) would,
-	// without producing a payload. Privacy-loss-only experiments (Fig. 4)
-	// use it to replay long sequences cheaply; the ledger state after a
-	// Charge is indistinguishable from the state after a Report.
-	Charge(v int)
-	// PrivacySpent returns the longitudinal privacy loss ε̌ consumed so far.
-	PrivacySpent() float64
-}
-
-// AppendReporter is a Client with an allocation-free emission path: it can
-// write a round's steady-state wire payload straight into a caller buffer,
-// skipping the boxed Report and any intermediate encoding (the bitset of a
-// UE report). Every client in this repository implements it; collection
-// layers type-assert for it and fall back to Report for clients that
-// don't. AppendReport(dst, v) must emit exactly the bytes
-// Report(v).AppendBinary(nil) would for the same client state, so the two
-// paths are interchangeable round for round.
-type AppendReporter interface {
-	Client
-	// AppendReport sanitizes v for the current round, advances the
-	// client's clock exactly as Report(v) would, and appends the
-	// steady-state wire payload to dst, returning the extended buffer.
-	// With capacity in dst the steady state performs no allocations.
+	// AppendReport sanitizes v (an index in [0..k)) for the current
+	// round, advances the client's clock and appends the steady-state
+	// wire payload to dst, returning the extended buffer. Registration
+	// metadata such as the hash seed or the sampled bucket indices is
+	// sent once, out of band, and excluded. With capacity in dst the
+	// steady state performs no allocations.
 	AppendReport(dst []byte, v int) []byte
 	// WireRegistration returns the client's one-time enrollment metadata
 	// — what a server needs besides the payload bytes. The returned value
 	// may alias client state and must not be mutated.
 	WireRegistration() Registration
+	// Charge advances the privacy ledger exactly as AppendReport(dst, v)
+	// would, without producing a payload. Privacy-loss-only experiments
+	// (Fig. 4) use it to replay long sequences cheaply; the ledger state
+	// after a Charge is indistinguishable from the state after a report.
+	Charge(v int)
+	// PrivacySpent returns the longitudinal privacy loss ε̌ consumed so far.
+	PrivacySpent() float64
 }
 
-// Aggregator is the server-side state: it tallies the reports of one
-// collection round and produces the round's frequency estimates.
+// Aggregator is the server-side state (Algorithm 2): the support counts
+// of one collection round, which the protocol's ColumnarTallier fills,
+// and the round's frequency estimates. Tally, embedded by every
+// aggregator, supplies ExportTally and ImportTally.
 type Aggregator interface {
-	// Add tallies the report of the identified user for the current round.
-	Add(userID int, rep Report)
 	// EndRound finalizes the round and returns its frequency estimates
 	// over the estimation domain.
 	EndRound() []float64
 	// EstimateDomain returns the length of EndRound's result: k for most
 	// protocols, b (the bucket count) for dBitFlipPM.
 	EstimateDomain() int
-}
-
-// MergeableAggregator is an Aggregator that supports sharded collection:
-// Fork'd siblings tally disjoint partitions of the cohort on their own
-// goroutines and Merge folds each sibling's round state back into one
-// aggregator before EndRound. Every aggregator in this repository
-// implements it.
-type MergeableAggregator interface {
-	Aggregator
 	// Fork returns a fresh aggregator with the same configuration and no
 	// accumulated round state. Forks do not share mutable state with the
 	// receiver: each maintains its own tallies and registration caches, so
-	// distinct forks may Add concurrently.
+	// distinct forks may tally concurrently.
 	Fork() Aggregator
 	// Merge folds other's current-round tallies into the receiver and
 	// resets other's round tallies (long-lived registration caches stay
@@ -98,6 +69,17 @@ type MergeableAggregator interface {
 	// must come from Fork on the receiver or on a sibling; tallies are
 	// integer counts, so any merge order yields bit-identical estimates.
 	Merge(other Aggregator)
+	// ExportTally appends the aggregator's current-round support counts to
+	// dst and returns the extended slice plus the round's report count n.
+	// The aggregator's state is unchanged. Snapshots and collector-tree
+	// leaves export this way; integer adds commute, so a restored or
+	// merged round ends bit-identically to the uninterrupted one.
+	ExportTally(dst []int64) ([]int64, int)
+	// ImportTally adds counts and n into the aggregator's current round.
+	// counts must have exactly the aggregator's tally length (the exported
+	// length); a mismatch imports nothing and returns an error. counts is
+	// not retained or mutated.
+	ImportTally(counts []int64, n int) error
 }
 
 // Protocol binds the two sides together with the protocol's metadata.
@@ -113,6 +95,16 @@ type Protocol interface {
 	// SteadyReportBits returns the per-round communication cost in bits
 	// (the Table 1 column).
 	SteadyReportBits() int
+	// Spec returns the declarative description of this protocol, so a
+	// built protocol round-trips: spec → Build → Spec → Build produces a
+	// configuration with bit-identical estimates. The spec captures the
+	// declarative parameters only (non-default construction options such
+	// as a custom hash family are not part of it); its Hash binds
+	// columnar batches and snapshots to the configuration.
+	Spec() ProtocolSpec
+	// WireTallier returns the tallier for this protocol's steady-state
+	// payloads: the only way a payload reaches an aggregator.
+	WireTallier() ColumnarTallier
 }
 
 // ---------------------------------------------------------------------------

@@ -6,24 +6,17 @@ import (
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
-// Every aggregator in this package must support sharded collection.
-var (
-	_ MergeableAggregator = (*chainUEAggregator)(nil)
-	_ MergeableAggregator = (*lgrrAggregator)(nil)
-	_ MergeableAggregator = (*dBitAggregator)(nil)
-)
-
 func TestMergeFoldsAndResetsRoundState(t *testing.T) {
 	const k = 8
 	proto, err := NewLGRR(k, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	main := proto.NewAggregator().(MergeableAggregator)
+	main := proto.NewAggregator()
 	fork := main.Fork()
 	cl := proto.NewClient(1)
-	fork.Add(0, cl.Report(3))
-	fork.Add(1, cl.Report(5))
+	tallyReport(t, proto, fork, 0, cl, 3)
+	tallyReport(t, proto, fork, 1, cl, 5)
 	main.Merge(fork)
 
 	// The fork was reset: its next round starts empty.
@@ -52,7 +45,7 @@ func TestMergePanicsOnForeignAggregator(t *testing.T) {
 			t.Error("merging an aggregator of a different protocol did not panic")
 		}
 	}()
-	lgrr.NewAggregator().(MergeableAggregator).Merge(rappor.NewAggregator())
+	lgrr.NewAggregator().Merge(rappor.NewAggregator())
 }
 
 func TestShardedCollectorShardCounts(t *testing.T) {
@@ -65,7 +58,7 @@ func TestShardedCollectorShardCounts(t *testing.T) {
 		{10, -2, 1}, // non-positive is serial
 		{1, 16, 1},  // single user
 	} {
-		c := NewShardedCollector(proto.NewAggregator(), tc.n, tc.shards)
+		c := NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), tc.n, tc.shards)
 		if got := c.Shards(); got != tc.want {
 			t.Errorf("n=%d shards=%d: got %d effective shards, want %d", tc.n, tc.shards, got, tc.want)
 		}
@@ -81,7 +74,7 @@ func TestShardedCollectorRepanicsOnCallerStack(t *testing.T) {
 	for u := range clients {
 		clients[u] = proto.NewClient(uint64(u))
 	}
-	c := NewShardedCollector(proto.NewAggregator(), 4, 2)
+	c := NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), 4, 2)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range value did not panic on the caller's stack")
@@ -92,7 +85,7 @@ func TestShardedCollectorRepanicsOnCallerStack(t *testing.T) {
 
 func TestShardedCollectorRejectsLengthMismatch(t *testing.T) {
 	proto, _ := NewRAPPOR(8, 2, 1)
-	c := NewShardedCollector(proto.NewAggregator(), 4, 2)
+	c := NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), 4, 2)
 	clients := make([]Client, 4)
 	for u := range clients {
 		clients[u] = proto.NewClient(randsrc.Derive(1, uint64(u)))

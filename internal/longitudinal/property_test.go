@@ -1,10 +1,12 @@
 package longitudinal
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"testing/quick"
 
+	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
@@ -96,9 +98,9 @@ func TestQuickClientReportsAlwaysDecodable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		rep := p.NewClient(seed).Report(v).(GRRValueReport)
-		got, rest, err := DecodeGRRValueReport(rep.AppendBinary(nil), k)
-		return err == nil && len(rest) == 0 && got.X == rep.X
+		payload := p.NewClient(seed).AppendReport(nil, v)
+		got, rest, err := DecodeGRRValueReport(payload, k)
+		return err == nil && len(rest) == 0 && bytes.Equal(freqoracle.AppendGRRReport(nil, got.X, k), payload)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Error(err)
@@ -135,7 +137,7 @@ func TestQuickLedgerNeverExceedsCap(t *testing.T) {
 }
 
 func TestQuickChargeReportLedgerEquivalence(t *testing.T) {
-	// Charge(v) and Report(v) must leave the ledger in the same state.
+	// Charge(v) and AppendReport(dst, v) must leave the ledger in the same state.
 	f := func(seed uint64, seqRaw []uint8) bool {
 		const k = 24
 		pa, err := NewLOSUE(k, 2, 1)
@@ -147,7 +149,7 @@ func TestQuickChargeReportLedgerEquivalence(t *testing.T) {
 		for _, s := range seqRaw {
 			v := int(s) % k
 			chargeOnly.Charge(v)
-			reporting.Report(v)
+			reporting.AppendReport(nil, v)
 			if math.Abs(chargeOnly.PrivacySpent()-reporting.PrivacySpent()) > 1e-12 {
 				return false
 			}

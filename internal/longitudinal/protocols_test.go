@@ -1,6 +1,7 @@
 package longitudinal
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
@@ -21,11 +22,20 @@ func runRounds(t *testing.T, p Protocol, values [][]int) [][]float64 {
 	var out [][]float64
 	for _, round := range values {
 		for u, v := range round {
-			agg.Add(u, clients[u].Report(v))
+			tallyReport(t, p, agg, u, clients[u], v)
 		}
 		out = append(out, agg.EndRound())
 	}
 	return out
+}
+
+// tallyReport emits cl's report of v and tallies it into agg through p's
+// tallier — the generate→tally round trip every collection layer takes.
+func tallyReport(t testing.TB, p Protocol, agg Aggregator, u int, cl Client, v int) {
+	t.Helper()
+	if err := TallyPayload(p.WireTallier(), agg, u, cl.AppendReport(nil, v), cl.WireRegistration()); err != nil {
+		t.Fatal(err)
+	}
 }
 
 // staticValues builds τ identical rounds of a skewed assignment over [0..k).
@@ -101,16 +111,16 @@ func TestMemoizationStableAcrossRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := dbit.NewClient(42)
-	first := cl.Report(33).(DBitReport)
+	first := cl.AppendReport(nil, 33)
 	for i := 0; i < 20; i++ {
-		rep := cl.Report(33).(DBitReport)
-		if !rep.Equal(first) {
+		rep := cl.AppendReport(nil, 33)
+		if !bytes.Equal(rep, first) {
 			t.Fatal("dBitFlipPM re-randomized a memoized value")
 		}
 	}
 	// Values in the same bucket share the memoized response.
-	same := cl.Report(34).(DBitReport) // bucket(33)==bucket(34) for k=100,b=10
-	if !same.Equal(first) {
+	same := cl.AppendReport(nil, 34) // bucket(33)==bucket(34) for k=100,b=10
+	if !bytes.Equal(same, first) {
 		t.Error("values in one bucket produced different memoized responses")
 	}
 }
@@ -167,7 +177,7 @@ func TestPrivacyLedgerRAPPORCountsDistinctValues(t *testing.T) {
 	seq := []int{5, 5, 5, 9, 5, 9, 30, 5}
 	wantUnits := []int{1, 1, 1, 2, 2, 2, 3, 3}
 	for i, v := range seq {
-		cl.Report(v)
+		cl.AppendReport(nil, v)
 		want := float64(wantUnits[i]) * 1.0
 		if got := cl.PrivacySpent(); math.Abs(got-want) > 1e-12 {
 			t.Errorf("after %d reports: spent %v, want %v", i+1, got, want)
@@ -183,8 +193,8 @@ func TestPrivacyLedgerLGRRCapsAtK(t *testing.T) {
 	}
 	cl := p.NewClient(1)
 	for v := 0; v < k; v++ {
-		cl.Report(v)
-		cl.Report(v)
+		cl.AppendReport(nil, v)
+		cl.AppendReport(nil, v)
 	}
 	if got, want := cl.PrivacySpent(), float64(k)*2.0; math.Abs(got-want) > 1e-12 {
 		t.Errorf("spent %v, want cap %v", got, want)
@@ -201,7 +211,7 @@ func TestPrivacyLedgerDBitStates(t *testing.T) {
 	cl := p.NewClient(3)
 	r := randsrc.NewSeeded(4)
 	for i := 0; i < 200; i++ {
-		cl.Report(r.Intn(100))
+		cl.AppendReport(nil, r.Intn(100))
 	}
 	if got := cl.PrivacySpent(); got > 2*1.5+1e-12 {
 		t.Errorf("1BitFlipPM spent %v, cap is 2ε∞ = 3", got)
@@ -213,7 +223,7 @@ func TestPrivacyLedgerDBitStates(t *testing.T) {
 	}
 	cl2 := p2.NewClient(3)
 	for v := 0; v < 100; v++ {
-		cl2.Report(v)
+		cl2.AppendReport(nil, v)
 	}
 	if got, want := cl2.PrivacySpent(), 10*1.5; math.Abs(got-want) > 1e-12 {
 		t.Errorf("bBitFlipPM spent %v, want %v", got, want)
@@ -226,9 +236,18 @@ func TestDBitFlipSampledBucketsFixed(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(9)
-	first := cl.Report(0).(DBitReport)
+	decode := func(v int) DBitReport {
+		t.Helper()
+		rep, _, err := DecodeDBitReport(cl.AppendReport(nil, v), cl.WireRegistration().Sampled)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep
+	}
+	first := decode(0)
+	first.Sampled = append([]int(nil), first.Sampled...)
 	for i := 1; i < 30; i++ {
-		rep := cl.Report(i % 60).(DBitReport)
+		rep := decode(i % 60)
 		for l := range rep.Sampled {
 			if rep.Sampled[l] != first.Sampled[l] {
 				t.Fatal("sampled buckets changed across rounds")
@@ -273,7 +292,10 @@ func TestLGRRReportsStayInDomain(t *testing.T) {
 	}
 	cl := p.NewClient(5)
 	for i := 0; i < 500; i++ {
-		rep := cl.Report(i % 12).(GRRValueReport)
+		rep, _, err := DecodeGRRValueReport(cl.AppendReport(nil, i%12), 12)
+		if err != nil {
+			t.Fatal(err)
+		}
 		if rep.X < 0 || rep.X >= 12 {
 			t.Fatalf("report %d outside domain", rep.X)
 		}
@@ -289,10 +311,10 @@ func TestIRRFreshAcrossRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(11)
-	first := cl.Report(7).(UEReport)
+	first := cl.AppendReport(nil, 7)
 	distinct := false
 	for i := 0; i < 10 && !distinct; i++ {
-		if !cl.Report(7).(UEReport).Bits.Equal(first.Bits) {
+		if !bytes.Equal(cl.AppendReport(nil, 7), first) {
 			distinct = true
 		}
 	}
@@ -304,21 +326,21 @@ func TestIRRFreshAcrossRounds(t *testing.T) {
 func TestAggregatorRejectsForeignReports(t *testing.T) {
 	rappor, _ := NewRAPPOR(8, 2, 1)
 	lgrr, _ := NewLGRR(8, 2, 1)
-	agg := rappor.NewAggregator()
-	rep := lgrr.NewClient(1).Report(0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("UE aggregator accepted a GRR report")
-		}
-	}()
-	agg.Add(0, rep)
+	rep := lgrr.NewClient(1).AppendReport(nil, 0)
+	if err := TallyPayload(lgrr.WireTallier(), rappor.NewAggregator(), 0, rep, Registration{}); err == nil {
+		t.Fatal("UE aggregator accepted a GRR report")
+	}
+	rep = rappor.NewClient(1).AppendReport(nil, 0)
+	if err := TallyPayload(rappor.WireTallier(), lgrr.NewAggregator(), 0, rep, Registration{}); err == nil {
+		t.Fatal("GRR aggregator accepted a UE report")
+	}
 }
 
 func TestEndRoundResetsState(t *testing.T) {
 	p, _ := NewLGRR(4, 2, 1)
 	agg := p.NewAggregator()
 	cl := p.NewClient(1)
-	agg.Add(0, cl.Report(2))
+	tallyReport(t, p, agg, 0, cl, 2)
 	_ = agg.EndRound()
 	// Second round with no reports: estimates are all-zero, not NaN.
 	est := agg.EndRound()
@@ -342,15 +364,15 @@ func TestReportEncodingSizes(t *testing.T) {
 	// dBitFlipPM = d bits (all byte-aligned in our wire format).
 	const k = 360
 	rappor, _ := NewRAPPOR(k, 2, 1)
-	if got := len(rappor.NewClient(1).Report(0).AppendBinary(nil)); got != (k+7)/8 {
+	if got := len(rappor.NewClient(1).AppendReport(nil, 0)); got != (k+7)/8 {
 		t.Errorf("RAPPOR report %d bytes, want %d", got, (k+7)/8)
 	}
 	lgrr, _ := NewLGRR(k, 2, 1)
-	if got := len(lgrr.NewClient(1).Report(0).AppendBinary(nil)); got != 2 {
+	if got := len(lgrr.NewClient(1).AppendReport(nil, 0)); got != 2 {
 		t.Errorf("L-GRR report %d bytes, want 2", got)
 	}
 	dbit, _ := NewDBitFlipPM(k, 90, 4, 2)
-	if got := len(dbit.NewClient(1).Report(0).AppendBinary(nil)); got != 1 {
+	if got := len(dbit.NewClient(1).AppendReport(nil, 0)); got != 1 {
 		t.Errorf("dBit report %d bytes, want 1", got)
 	}
 }

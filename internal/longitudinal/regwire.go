@@ -7,12 +7,12 @@ import (
 )
 
 // Canonical binary encoding for Registration — the enrollment half of the
-// wire contract. Round payloads have had a wire form since PR 2
-// (Report.AppendBinary); this gives the one-time enrollment metadata one
-// too, so a networked front end can carry enrollment over the same socket
-// as reports. The layout is fixed-width and positional, hence canonical:
-// a Registration has exactly one encoding and every valid encoding
-// re-encodes to the same bytes.
+// wire contract. Round payloads have a wire form (Client.AppendReport);
+// this gives the one-time enrollment metadata one too, so a networked
+// front end can carry enrollment over the same socket as reports. The
+// layout is fixed-width and positional, hence canonical: a Registration
+// has exactly one encoding and every valid encoding re-encodes to the
+// same bytes.
 //
 //	u64 LE  HashSeed
 //	u32 LE  len(Sampled)

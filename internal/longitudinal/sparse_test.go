@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
@@ -148,8 +149,8 @@ func valueSequence(seed uint64, k, rounds int) []int {
 
 // TestChainUESparseDenseParity: for every chained-UE calibration and
 // domain size, a dense-pinned and a sparse-pinned protocol with identical
-// seeds must emit bit-identical reports — through AppendReport, through
-// the boxed Report path, and across both — and identical estimates.
+// seeds must emit bit-identical reports — through AppendReport and
+// through the wire decoder — and identical estimates.
 func TestChainUESparseDenseParity(t *testing.T) {
 	chains := map[string]func(k int) (*ChainUE, error){
 		"RAPPOR": func(k int) (*ChainUE, error) { return NewRAPPOR(k, 2, 1) },
@@ -174,8 +175,8 @@ func TestChainUESparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, mustDecodeUE(t, bufD, k))
-						aggS.Add(u, mustDecodeUE(t, bufS, k))
+						mustTally(t, dense, aggD, u, bufD, Registration{})
+						mustTally(t, sparse, aggS, u, mustReencodeUE(t, bufS, k), Registration{})
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
@@ -186,18 +187,40 @@ func TestChainUESparseDenseParity(t *testing.T) {
 	}
 }
 
-// mustDecodeUE decodes exactly one k-bit UE payload or fails the test.
-func mustDecodeUE(t *testing.T, payload []byte, k int) Report {
+// mustTally tallies one payload through p's tallier or fails the test.
+func mustTally(t *testing.T, p Protocol, agg Aggregator, u int, payload []byte, reg Registration) {
+	t.Helper()
+	if err := TallyPayload(p.WireTallier(), agg, u, payload, reg); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// mustReencodeUE decodes exactly one k-bit UE payload and re-encodes it,
+// or fails the test.
+func mustReencodeUE(t *testing.T, payload []byte, k int) []byte {
 	t.Helper()
 	rep, rest, err := DecodeUEReport(payload, k)
 	if err != nil || len(rest) != 0 {
 		t.Fatalf("decoding %d-byte UE payload: err=%v, %d trailing bytes", len(payload), err, len(rest))
 	}
-	return rep
+	return freqoracle.AppendUEReport(nil, rep.Bits)
 }
 
-// TestChainUEReportMatchesAppendReport: the boxed Report path and
-// AppendReport must emit identical bytes for identical client state.
+// packDBit is the dBitFlipPM wire form of decoded bits: bit l of the
+// payload is sampled slot l, byte-packed little-endian.
+func packDBit(bits []bool) []byte {
+	dst := make([]byte, (len(bits)+7)/8)
+	for i, bit := range bits {
+		if bit {
+			dst[i/8] |= 1 << (uint(i) % 8)
+		}
+	}
+	return dst
+}
+
+// TestChainUEReportMatchesAppendReport: AppendReport must emit the same
+// bytes for identical client state, and those bytes must be exactly the
+// wire form of the report the decoder reads back.
 func TestChainUEReportMatchesAppendReport(t *testing.T) {
 	for _, k := range sparseParityKs {
 		p, err := NewLOSUE(k, 2, 1)
@@ -209,10 +232,11 @@ func TestChainUEReportMatchesAppendReport(t *testing.T) {
 		var buf []byte
 		for t2 := 0; t2 < 8; t2++ {
 			v := (t2 * 3) % k
-			boxed := clA.Report(v).AppendBinary(nil)
-			buf = clB.(AppendReporter).AppendReport(buf[:0], v)
-			if !bytes.Equal(boxed, buf) {
-				t.Fatalf("k=%d round %d: Report %x != AppendReport %x", k, t2, boxed, buf)
+			ref := clA.AppendReport(nil, v)
+			buf = clB.AppendReport(buf[:0], v)
+			decoded := mustReencodeUE(t, buf, k)
+			if !bytes.Equal(ref, buf) || !bytes.Equal(decoded, buf) {
+				t.Fatalf("k=%d round %d: reference %x, decoded %x, AppendReport %x", k, t2, ref, decoded, buf)
 			}
 		}
 	}
@@ -242,8 +266,8 @@ func TestDBitSparseDenseParity(t *testing.T) {
 						if !bytes.Equal(bufD, bufS) {
 							t.Fatalf("user %d value %d: dense %x != sparse %x", u, v, bufD, bufS)
 						}
-						aggD.Add(u, clD.Report(v))
-						aggS.Add(u, clS.Report(v))
+						mustTally(t, dense, aggD, u, bufD, clD.WireRegistration())
+						mustTally(t, sparse, aggS, u, bufS, clS.WireRegistration())
 					}
 				}
 				if !equalFloats(aggD.EndRound(), aggS.EndRound()) {
@@ -255,27 +279,29 @@ func TestDBitSparseDenseParity(t *testing.T) {
 }
 
 // TestDBitReportMatchesAppendReport: the packed AppendReport payload must
-// byte-match the boxed DBitReport serialization.
+// byte-match the serialization of the DBitReport the decoder reads back.
 func TestDBitReportMatchesAppendReport(t *testing.T) {
 	p, err := NewDBitFlipPM(64, 16, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(5)
-	ar := cl.(AppendReporter)
 	var buf []byte
 	for v := 0; v < 64; v += 7 {
-		boxed := cl.Report(v).AppendBinary(nil)
-		buf = ar.AppendReport(buf[:0], v)
-		if !bytes.Equal(boxed, buf) {
-			t.Fatalf("value %d: Report %x != AppendReport %x", v, boxed, buf)
+		buf = cl.AppendReport(buf[:0], v)
+		rep, rest, err := DecodeDBitReport(buf, cl.WireRegistration().Sampled)
+		if err != nil || len(rest) != 0 {
+			t.Fatalf("value %d: decoding %x: err=%v, %d trailing bytes", v, buf, err, len(rest))
+		}
+		if decoded := packDBit(rep.Bits); !bytes.Equal(decoded, buf) {
+			t.Fatalf("value %d: decoded %x != AppendReport %x", v, decoded, buf)
 		}
 	}
 }
 
 // TestLGRRReportMatchesAppendReport: same-seed clients on the two paths
-// must emit identical wire bytes (the scalar families have no dense/sparse
-// split; parity here is boxed-vs-append).
+// must emit identical wire bytes, the wire form of the value the decoder
+// reads back (the scalar families have no dense/sparse split).
 func TestLGRRReportMatchesAppendReport(t *testing.T) {
 	for _, k := range sparseParityKs {
 		p, err := NewLGRR(k, 2, 1)
@@ -283,23 +309,26 @@ func TestLGRRReportMatchesAppendReport(t *testing.T) {
 			t.Fatal(err)
 		}
 		clA, clB := p.NewClient(13), p.NewClient(13)
-		ar := clB.(AppendReporter)
 		var buf []byte
 		for i := 0; i < 20; i++ {
 			v := (i * 5) % k
-			boxed := clA.Report(v).AppendBinary(nil)
-			buf = ar.AppendReport(buf[:0], v)
-			if !bytes.Equal(boxed, buf) {
-				t.Fatalf("k=%d round %d: Report %x != AppendReport %x", k, i, boxed, buf)
+			ref := clA.AppendReport(nil, v)
+			buf = clB.AppendReport(buf[:0], v)
+			rep, _, err := DecodeGRRValueReport(buf, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if decoded := freqoracle.AppendGRRReport(nil, rep.X, k); !bytes.Equal(ref, buf) || !bytes.Equal(decoded, buf) {
+				t.Fatalf("k=%d round %d: reference %x, decoded %x, AppendReport %x", k, i, ref, decoded, buf)
 			}
 		}
 	}
 }
 
-// TestCollectorTallyDirectMatchesAddPath: a collector routed through
-// AppendReport + ColumnarTallier must produce bit-identical estimates to the
-// Report/Add path, per family and shard count — the gate for switching
-// simulation.Replay/RunMSE and Stream.Collect onto the wire fast path.
+// TestCollectorTallyDirectMatchesAddPath: a sharded collector must
+// produce bit-identical estimates to a serial loop that emits each report
+// and tallies it into one bare aggregator, per family and shard count —
+// the gate for simulation.Replay/RunMSE and Stream.Collect.
 func TestCollectorTallyDirectMatchesAddPath(t *testing.T) {
 	const k, n, rounds = 24, 300, 4
 	protos := map[string]Protocol{}
@@ -322,25 +351,22 @@ func TestCollectorTallyDirectMatchesAddPath(t *testing.T) {
 					}
 					return cls
 				}
-				plain := NewShardedCollector(proto.NewAggregator(), n, shards)
-				wired := NewShardedCollector(proto.NewAggregator(), n, shards)
-				wired.EnableTallyDirect(proto.(TallyProtocol).WireTallier())
+				plain := proto.NewAggregator()
+				wired := NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), n, shards)
 				clP, clW := mkClients(), mkClients()
 				values := make([]int, n)
 				for round := 0; round < rounds; round++ {
 					for u := range values {
 						values[u] = (u + round*3) % k
+						mustTally(t, proto, plain, u, clP[u].AppendReport(nil, values[u]), clP[u].WireRegistration())
 					}
-					estP, err := plain.Collect(clP, values)
-					if err != nil {
-						t.Fatal(err)
-					}
+					estP := plain.EndRound()
 					estW, err := wired.Collect(clW, values)
 					if err != nil {
 						t.Fatal(err)
 					}
 					if !equalFloats(estP, estW) {
-						t.Fatalf("round %d: tally-direct estimates diverged from Add path", round)
+						t.Fatalf("round %d: collector estimates diverged from the serial path", round)
 					}
 				}
 			})

@@ -252,28 +252,6 @@ func strictUnmarshal(data []byte, v any) error {
 	return nil
 }
 
-// SpecProtocol is a Protocol that can describe itself as a ProtocolSpec, so
-// a built protocol round-trips: spec → Build → Spec → Build produces a
-// configuration with bit-identical estimates. Every protocol in this
-// repository implements it; the spec captures the declarative parameters
-// only (non-default construction options such as a custom hash family are
-// not part of the wire-level description).
-type SpecProtocol interface {
-	Protocol
-	// Spec returns the declarative description of this protocol.
-	Spec() ProtocolSpec
-}
-
-// SpecOf returns the declarative spec of a built protocol, when the
-// protocol can describe itself (every protocol in this repository can).
-func SpecOf(p Protocol) (ProtocolSpec, bool) {
-	sp, ok := p.(SpecProtocol)
-	if !ok {
-		return ProtocolSpec{}, false
-	}
-	return sp.Spec(), true
-}
-
 // ---------------------------------------------------------------------------
 // Built-in family registrations for this package's protocols. The LOLOHA
 // families register from internal/core.

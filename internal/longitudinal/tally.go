@@ -13,8 +13,7 @@ import (
 // ColumnarTallier is the one contract that moves a payload's bits into
 // it. Payloads are tallied in place — views over the payload bytes, no
 // intermediate report — so steady-state wire ingestion performs zero
-// allocations per report. The boxed Client.Report/Aggregator.Add pair is
-// the in-memory reference the wire path must agree with.
+// allocations per report.
 
 // Tally is an aggregator's open-round state: integer support counts plus
 // the number of reports behind them. EndRound estimates from these two
@@ -143,40 +142,12 @@ func (t *Tally) Counts() []int64 {
 	return t.counts
 }
 
-// SnapshotTallier is an Aggregator whose open-round tallies can be
-// exported and re-imported exactly — what server.Stream.Snapshot writes
-// for crash recovery and what a collector-tree leaf ships to its root
-// (integer adds commute, so the tree's estimates match a single-node run
-// exactly). Every aggregator in this repository implements it by
-// embedding Tally; the wirecontract linter pins the assertion for each
-// registered family.
-type SnapshotTallier interface {
-	// ExportTally appends the aggregator's current-round support counts to
-	// dst and returns the extended slice plus the round's report count n.
-	// The aggregator's state is unchanged.
-	ExportTally(dst []int64) ([]int64, int)
-	// ImportTally adds counts and n into the aggregator's current round.
-	// counts must have exactly the aggregator's tally length (the exported
-	// length); a mismatch imports nothing and returns an error. counts is
-	// not retained or mutated.
-	ImportTally(counts []int64, n int) error
-}
-
-// Snapshot-contract assertions (wirecontract): every family's aggregator
-// must stay export/import-capable or snapshot/restore and the collector
-// tree silently lose it.
-var (
-	_ SnapshotTallier = (*chainUEAggregator)(nil)
-	_ SnapshotTallier = (*lgrrAggregator)(nil)
-	_ SnapshotTallier = (*dBitAggregator)(nil)
-)
-
-// ExportTally implements SnapshotTallier.
+// ExportTally implements Aggregator.
 func (t *Tally) ExportTally(dst []int64) ([]int64, int) {
 	return append(dst, t.Counts()...), t.N
 }
 
-// ImportTally implements SnapshotTallier.
+// ImportTally implements Aggregator.
 func (t *Tally) ImportTally(counts []int64, n int) error {
 	if len(counts) != len(t.counts) {
 		return fmt.Errorf("longitudinal: import has %d counts, aggregator tallies %d", len(counts), len(t.counts))
@@ -192,7 +163,7 @@ func (t *Tally) ImportTally(counts []int64, n int) error {
 }
 
 // Absorb moves o's round into t — adding its counts and zeroing o — which
-// is the whole round-state transfer of every MergeableAggregator.Merge.
+// is the whole round-state transfer of every Aggregator.Merge.
 // o must have t's tally length.
 func (t *Tally) Absorb(o *Tally) {
 	for i, c := range o.Counts() {
@@ -227,16 +198,6 @@ type ColumnarTallier interface {
 	TallyCell(agg Aggregator, userID int, cell []byte, reg Registration) error
 }
 
-// TallyProtocol is a Protocol whose payloads can be tallied in place —
-// the contract server.Stream requires. Every protocol in this repository
-// implements it.
-type TallyProtocol interface {
-	Protocol
-	// WireTallier returns the tallier for this protocol's steady-state
-	// payloads.
-	WireTallier() ColumnarTallier
-}
-
 // TallyPayload tallies one loose payload — one not framed by a columnar
 // batch — through ct: the exact-length check, then TallyCell.
 //
@@ -251,7 +212,7 @@ func TallyPayload(ct ColumnarTallier, agg Aggregator, userID int, payload []byte
 // ---------------------------------------------------------------------------
 // Chained-UE tallier.
 
-// WireTallier implements TallyProtocol.
+// WireTallier implements Protocol.
 func (c *ChainUE) WireTallier() ColumnarTallier { return ueWireTallier{k: c.k} }
 
 type ueWireTallier struct{ k int }
@@ -282,7 +243,7 @@ func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registrat
 // ---------------------------------------------------------------------------
 // L-GRR tallier.
 
-// WireTallier implements TallyProtocol.
+// WireTallier implements Protocol.
 func (m *LGRR) WireTallier() ColumnarTallier { return grrWireTallier{k: m.k} }
 
 type grrWireTallier struct{ k int }
@@ -313,7 +274,7 @@ func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registra
 // ---------------------------------------------------------------------------
 // dBitFlipPM tallier.
 
-// WireTallier implements TallyProtocol.
+// WireTallier implements Protocol.
 func (m *DBitFlipPM) WireTallier() ColumnarTallier { return dbitWireTallier{proto: m} }
 
 type dbitWireTallier struct{ proto *DBitFlipPM }

@@ -3,15 +3,16 @@ package longitudinal
 import (
 	"fmt"
 
+	"github.com/loloha-ldp/loloha/internal/bitset"
 	"github.com/loloha-ldp/loloha/internal/freqoracle"
 )
 
-// Wire decoding for the steady-state report formats produced by
-// Report.AppendBinary. A production deployment ships registration metadata
-// (hash seeds, sampled bucket indices) once at enrollment and then streams
+// Wire decoding for the steady-state payloads Client.AppendReport
+// produces. A production deployment ships registration metadata (hash
+// seeds, sampled bucket indices) once at enrollment and then streams
 // these fixed-size payloads every round. Servers tally the payloads in
-// place (ColumnarTallier); the decoders below rebuild the boxed Report a
-// payload carries, for tests and offline analysis.
+// place (ColumnarTallier); the decoders below spell out what a payload
+// carries — the wire-format oracles the talliers are tested against.
 
 // Registration carries a user's one-time enrollment metadata: everything a
 // tallier needs beyond the per-round payload bytes.
@@ -21,6 +22,24 @@ type Registration struct {
 	HashSeed uint64
 	// Sampled lists a dBitFlipPM user's fixed sampled buckets.
 	Sampled []int
+}
+
+// UEReport is a decoded chained-UE payload: the k sanitized bits.
+type UEReport struct {
+	Bits *bitset.Bitset
+}
+
+// GRRValueReport is a decoded L-GRR payload: one value in [0..K).
+type GRRValueReport struct {
+	X int
+	K int
+}
+
+// DBitReport is a decoded dBitFlipPM payload: the user's fixed sampled
+// buckets (registration metadata) and the memoized bit of each.
+type DBitReport struct {
+	Sampled []int
+	Bits    []bool
 }
 
 // DecodeUEReport reads a k-bit unary-encoding round payload.

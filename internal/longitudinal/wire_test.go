@@ -1,9 +1,11 @@
 package longitudinal
 
 import (
+	"bytes"
 	"math"
 	"testing"
 
+	"github.com/loloha-ldp/loloha/internal/freqoracle"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
@@ -14,8 +16,7 @@ func TestUEReportWireRoundTrip(t *testing.T) {
 	}
 	cl := p.NewClient(1)
 	for i := 0; i < 20; i++ {
-		rep := cl.Report(i % 100).(UEReport)
-		buf := rep.AppendBinary(nil)
+		buf := cl.AppendReport(nil, i%100)
 		got, rest, err := DecodeUEReport(buf, 100)
 		if err != nil {
 			t.Fatal(err)
@@ -23,7 +24,7 @@ func TestUEReportWireRoundTrip(t *testing.T) {
 		if len(rest) != 0 {
 			t.Fatalf("leftover %d bytes", len(rest))
 		}
-		if !got.Bits.Equal(rep.Bits) {
+		if !bytes.Equal(freqoracle.AppendUEReport(nil, got.Bits), buf) {
 			t.Fatal("UE wire round trip mismatch")
 		}
 	}
@@ -36,14 +37,13 @@ func TestGRRValueReportWireRoundTrip(t *testing.T) {
 	}
 	cl := p.NewClient(2)
 	for i := 0; i < 50; i++ {
-		rep := cl.Report(i % 300).(GRRValueReport)
-		buf := rep.AppendBinary(nil)
+		buf := cl.AppendReport(nil, i%300)
 		got, rest, err := DecodeGRRValueReport(buf, 300)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rest) != 0 || got.X != rep.X || got.K != 300 {
-			t.Fatalf("round trip: got %+v want %+v", got, rep)
+		if len(rest) != 0 || !bytes.Equal(freqoracle.AppendGRRReport(nil, got.X, 300), buf) || got.K != 300 {
+			t.Fatalf("round trip: got %+v from %x", got, buf)
 		}
 	}
 }
@@ -54,20 +54,28 @@ func TestDBitReportWireRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	cl := p.NewClient(3)
-	first := cl.Report(5).(DBitReport)
-	buf := first.AppendBinary(nil)
+	buf := cl.AppendReport(nil, 5)
 	if len(buf) != 2 { // 9 bits -> 2 bytes
 		t.Fatalf("encoded %d bytes, want 2", len(buf))
 	}
-	got, rest, err := DecodeDBitReport(buf, first.Sampled)
+	reg := cl.WireRegistration()
+	got, rest, err := DecodeDBitReport(buf, reg.Sampled)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 0 {
 		t.Fatalf("leftover %d bytes", len(rest))
 	}
-	if !got.Equal(first) {
-		t.Fatal("dBit wire round trip mismatch")
+	// The decoded bits are exactly the support the tallier counts.
+	agg := p.NewAggregator()
+	if err := TallyPayload(p.WireTallier(), agg, 0, buf, reg); err != nil {
+		t.Fatal(err)
+	}
+	counts, _ := agg.ExportTally(nil)
+	for l, j := range got.Sampled {
+		if got.Bits[l] != (counts[j] == 1) {
+			t.Fatal("dBit wire round trip mismatch")
+		}
 	}
 }
 
@@ -87,26 +95,28 @@ func TestDecodeErrors(t *testing.T) {
 }
 
 func TestWireAggregationEquivalence(t *testing.T) {
-	// Feeding an aggregator through encode→decode must produce estimates
-	// identical to feeding reports directly — the full production path.
+	// Feeding an aggregator the decoded reports must produce estimates
+	// identical to tallying the payloads in place — the production path.
 	const k, n = 50, 2000
 	p, err := NewLOSUE(k, 2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	direct := p.NewAggregator()
-	viaWire := p.NewAggregator()
+	viaWire := p.NewAggregator().(*chainUEAggregator)
 	r := randsrc.NewSeeded(4)
 	for u := 0; u < n; u++ {
 		cl := p.NewClient(uint64(u))
-		rep := cl.Report(r.Intn(k))
-		direct.Add(u, rep)
-		buf := rep.AppendBinary(nil)
+		buf := cl.AppendReport(nil, r.Intn(k))
+		if err := TallyPayload(p.WireTallier(), direct, u, buf, Registration{}); err != nil {
+			t.Fatal(err)
+		}
 		decoded, _, err := DecodeUEReport(buf, k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaWire.Add(u, decoded)
+		viaWire.AddRow(decoded.Bits.Words())
+		viaWire.N++
 	}
 	a, b := direct.EndRound(), viaWire.EndRound()
 	for v := range a {

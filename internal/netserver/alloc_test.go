@@ -40,7 +40,7 @@ func TestTCPDecodeTallyZeroAlloc(t *testing.T) {
 	var frames []byte
 	payloads := make([][]byte, runs+1)
 	for u := range payloads {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
 		}
@@ -91,10 +91,7 @@ func TestTCPColumnarZeroAlloc(t *testing.T) {
 	defer stream.Close()
 	srv := newTestServer(t, stream, Config{})
 
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		t.Fatal("protocol has no columnar stride")
-	}
+	stride := proto.WireTallier().PayloadStride()
 	// One columnar frame per measured call, each batch holding distinct
 	// enrolled users so every report lands (duplicates allocate their
 	// rejection error). AllocsPerRun's warm-up call grows the connection's
@@ -103,7 +100,7 @@ func TestTCPColumnarZeroAlloc(t *testing.T) {
 	// cost, not steady state.
 	const runs, batch = 50, 64
 	var frames []byte
-	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	w, err := longitudinal.NewColumnarWriter(proto.Spec().Hash(), stride)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +108,7 @@ func TestTCPColumnarZeroAlloc(t *testing.T) {
 		w.Reset()
 		for j := 0; j < batch; j++ {
 			u := i*batch + j
-			cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+			cl := proto.NewClient(uint64(u))
 			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 				t.Fatal(err)
 			}
@@ -157,14 +154,14 @@ func TestColumnarDecodeZeroAlloc(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride, _ := longitudinal.ColumnarStrideOf(proto)
+	stride := proto.WireTallier().PayloadStride()
 	const n = 256
-	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	w, err := longitudinal.NewColumnarWriter(proto.Spec().Hash(), stride)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		if err := w.Add(u, cl.AppendReport(nil, u%proto.K())); err != nil {
 			t.Fatal(err)
 		}
@@ -193,7 +190,7 @@ func TestBatchDecodeZeroAlloc(t *testing.T) {
 	const n = 64
 	var body []byte
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
+		cl := proto.NewClient(uint64(u))
 		body = AppendBatchRecord(body, u, cl.AppendReport(nil, u%proto.K()))
 	}
 

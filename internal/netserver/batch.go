@@ -13,7 +13,7 @@ import (
 //
 //	u64 LE  userID
 //	u32 LE  payload length m (≤ MaxFrameBytes)
-//	m bytes payload (Report.AppendBinary wire form)
+//	m bytes payload (Client.AppendReport wire form)
 //
 // The decoder walks the body once, collecting user IDs and payload
 // sub-slices that alias the body buffer — no per-record copy — and feeds

@@ -163,10 +163,7 @@ func newRoundFixture(b *testing.B, proto longitudinal.Protocol, n int) *roundFix
 		payloads: make([][]byte, n),
 	}
 	for u := 0; u < n; u++ {
-		cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-		if !ok {
-			b.Fatalf("%s client does not implement AppendReporter", proto.Name())
-		}
+		cl := proto.NewClient(uint64(u))
 		fx.ids[u] = u
 		fx.regs[u] = cl.WireRegistration()
 		fx.payloads[u] = cl.AppendReport(nil, u%proto.K())
@@ -197,11 +194,8 @@ func (fx *roundFixture) batchBody() []byte {
 // form: no registration columns; enrollment happened via enrollDirect).
 func (fx *roundFixture) columnarBody(b *testing.B, proto longitudinal.Protocol) []byte {
 	b.Helper()
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		b.Fatalf("%s has no columnar stride", proto.Name())
-	}
-	w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+	stride := proto.WireTallier().PayloadStride()
+	w, err := longitudinal.NewColumnarWriter(proto.Spec().Hash(), stride)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -143,11 +143,8 @@ func TestEndToEndParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build(%+v): %v", spec, err)
 				}
-				stride, ok := longitudinal.ColumnarStrideOf(proto)
-				if !ok {
-					t.Fatalf("%s: protocol has no columnar stride", family)
-				}
-				specHash := longitudinal.SpecHashOf(proto)
+				stride := proto.WireTallier().PayloadStride()
+				specHash := proto.Spec().Hash()
 				const n, rounds, httpChunk = 120, 3, 48
 
 				ref := newTestStreamShards(t, proto, shards)
@@ -171,15 +168,12 @@ func TestEndToEndParity(t *testing.T) {
 				// Enroll the same users on the per-report legs: directly,
 				// over JSON, and over enroll frames. The columnar legs
 				// enroll through their round-0 registration columns instead.
-				clients := make([]longitudinal.AppendReporter, n)
+				clients := make([]longitudinal.Client, n)
 				regs := make([]longitudinal.Registration, n)
 				ids := make([]int, n)
 				var frames []byte
 				for u := range clients {
-					cl, ok := proto.NewClient(uint64(u)).(longitudinal.AppendReporter)
-					if !ok {
-						t.Fatalf("%s client does not implement AppendReporter", family)
-					}
+					cl := proto.NewClient(uint64(u))
 					clients[u], ids[u] = cl, u
 					reg := cl.WireRegistration()
 					regs[u] = reg
@@ -367,7 +361,7 @@ func TestSSERoundStream(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	cl := proto.NewClient(1)
 	if err := stream.Enroll(1, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +407,7 @@ func TestStatusAndDashboard(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	cl := proto.NewClient(9).(longitudinal.AppendReporter)
+	cl := proto.NewClient(9)
 	if err := stream.Enroll(9, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
@@ -607,7 +601,7 @@ func TestServerCloseLeavesStreamOpen(t *testing.T) {
 	srv := newTestServer(t, stream, Config{})
 	conn := dialTCPServer(t, srv)
 
-	cl := proto.NewClient(5).(longitudinal.AppendReporter)
+	cl := proto.NewClient(5)
 	frames, err := AppendEnrollFrame(nil, 5, cl.WireRegistration())
 	if err != nil {
 		t.Fatal(err)
@@ -645,7 +639,7 @@ func TestRoundTimerClosesPendingRounds(t *testing.T) {
 	stream := newTestStream(t, proto)
 	newTestServer(t, stream, Config{RoundEvery: 5 * time.Millisecond})
 
-	cl := proto.NewClient(3).(longitudinal.AppendReporter)
+	cl := proto.NewClient(3)
 	if err := stream.Enroll(3, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}

@@ -24,7 +24,7 @@ import (
 // Client → server frames:
 //
 //	enroll   (0x01): u64 LE userID ++ longitudinal.AppendRegistration bytes
-//	report   (0x02): u64 LE userID ++ Report.AppendBinary payload
+//	report   (0x02): u64 LE userID ++ Client.AppendReport payload
 //	flush    (0x03): empty body; requests an ack
 //	columnar (0x04): one longitudinal columnar batch (header + packed
 //	                 ID/registration/payload columns), no per-report framing
@@ -126,8 +126,7 @@ func AppendEnrollFrame(dst []byte, userID int, reg longitudinal.Registration) ([
 }
 
 // AppendReportFrame appends a report frame for userID to dst. The payload
-// is the protocol's steady-state wire form (Report.AppendBinary /
-// AppendReporter.AppendReport bytes).
+// is the protocol's steady-state wire form (Client.AppendReport bytes).
 //
 //loloha:noalloc
 func AppendReportFrame(dst []byte, userID int, payload []byte) []byte {

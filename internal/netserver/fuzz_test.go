@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/core"
-	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/persist"
 	"github.com/loloha-ldp/loloha/internal/server"
 )
@@ -28,7 +27,7 @@ func FuzzFrameStream(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cl := proto.NewClient(1).(longitudinal.AppendReporter)
+	cl := proto.NewClient(1)
 	session, err := AppendEnrollFrame(nil, 1, cl.WireRegistration())
 	if err != nil {
 		f.Fatal(err)
@@ -81,7 +80,7 @@ func FuzzMergeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	cl := proto.NewClient(3).(longitudinal.AppendReporter)
+	cl := proto.NewClient(3)
 	if err := leaf.Enroll(3, cl.WireRegistration()); err != nil {
 		f.Fatal(err)
 	}

@@ -408,9 +408,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 			Rejected: s.httpRejected.Load(),
 		},
 	}
-	if spec, ok := longitudinal.SpecOf(proto); ok {
-		st.Spec = &spec
-	}
+	spec := proto.Spec()
+	st.Spec = &spec
 	if s.acceptMerges || s.upstream != nil {
 		m := &mergeStatsJSON{
 			Frames:               s.mergeFrames.Load(),

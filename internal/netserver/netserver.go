@@ -14,7 +14,7 @@
 //
 //   - Raw TCP: length-prefixed frames (see frame.go) carrying the
 //     existing wire formats — longitudinal.AppendRegistration for
-//     enrollment, Report.AppendBinary payloads for reports — decoded in a
+//     enrollment, Client.AppendReport payloads for reports — decoded in a
 //     per-connection read loop whose steady state reuses one frame buffer
 //     and tallies through Stream.Ingest at zero allocations per report,
 //     so the PR 3/5 zero-alloc property survives the socket boundary.
@@ -252,6 +252,9 @@ func New(cfg Config) (*Server, error) {
 		if err != nil {
 			return nil, err
 		}
+		if ob.lastRound >= 0 {
+			s.stream.ResumeAfter(ob.lastRound)
+		}
 		s.outbox = ob
 		s.shipKick = make(chan struct{}, 1)
 	}
@@ -335,9 +338,7 @@ func (s *Server) closeRound() (server.RoundResult, error) {
 	}
 	res, snap, err := s.stream.CloseRoundExport()
 	if err != nil {
-		// The aggregator cannot export (an external protocol without the
-		// snapshot contract): the round still closes.
-		return s.stream.CloseRound(), err
+		return res, err
 	}
 	if res.Reports == 0 {
 		// Nothing to merge upstream; an empty round does not burn a

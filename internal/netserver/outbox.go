@@ -18,6 +18,12 @@ package netserver
 // the .lme1 ones. A lost .acked rename costs one duplicate ship, which
 // the root acks. So a round close costs one file fsync and one directory
 // fsync, and the floor survives a power loss, not only a process kill.
+//
+// The newest envelope also bounds the leaf's rounds: its round is closed
+// and its reports are owed to the root (or already with it). A leaf that
+// restores its stream from a snapshot taken before that round closed
+// would otherwise close the same reports again, so boot drops such a
+// restored round (server.Stream.ResumeAfter).
 
 import (
 	"fmt"
@@ -72,13 +78,16 @@ type outbox struct {
 	// that the next durable envelope makes redundant.
 	retired []string
 	pending []outboxItem
+	// lastRound is the leaf round of the highest-numbered envelope on disk
+	// at boot, spooled or acked; -1 when there was none.
+	lastRound int
 }
 
 // openOutbox opens (or initializes) the outbox for leaf in dir, replaying
 // any spooled envelopes left by a previous process. An unreadable spool
 // is a hard error: silently skipping an envelope would lose a round.
 func openOutbox(fsys durable.FS, dir, leaf string) (*outbox, error) {
-	ob := &outbox{fs: fsys, dir: dir, leaf: leaf}
+	ob := &outbox{fs: fsys, dir: dir, leaf: leaf, lastRound: -1}
 	if dir == "" {
 		return ob, nil
 	}
@@ -92,6 +101,7 @@ func openOutbox(fsys durable.FS, dir, leaf string) (*outbox, error) {
 	if err != nil {
 		return nil, fmt.Errorf("netserver: outbox dir: %w", err)
 	}
+	var lastSeq uint64
 	for _, name := range names {
 		var seq uint64
 		switch {
@@ -104,13 +114,7 @@ func openOutbox(fsys durable.FS, dir, leaf string) (*outbox, error) {
 				return nil, fmt.Errorf("netserver: outbox SEQ file: %w", err)
 			}
 			ob.retired = append(ob.retired, name)
-		case isEnvFile(name, outboxAckedSuffix):
-			hex := strings.TrimSuffix(strings.TrimPrefix(name, outboxEnvPrefix), outboxAckedSuffix)
-			if seq, err = strconv.ParseUint(hex, 16, 64); err != nil {
-				return nil, fmt.Errorf("netserver: outbox file %s: %w", name, err)
-			}
-			ob.retired = append(ob.retired, name)
-		case isEnvFile(name, outboxEnvSuffix):
+		case isEnvFile(name, outboxAckedSuffix), isEnvFile(name, outboxEnvSuffix):
 			env, err := fsys.ReadFile(filepath.Join(dir, name))
 			if err != nil {
 				return nil, fmt.Errorf("netserver: outbox replay %s: %w", name, err)
@@ -124,7 +128,14 @@ func openOutbox(fsys durable.FS, dir, leaf string) (*outbox, error) {
 					name, h.Leaf, leaf)
 			}
 			seq = h.Seq
-			ob.pending = append(ob.pending, outboxItem{seq: seq, round: h.Round, env: env})
+			if seq >= lastSeq {
+				lastSeq, ob.lastRound = seq, h.Round
+			}
+			if strings.HasSuffix(name, outboxAckedSuffix) {
+				ob.retired = append(ob.retired, name)
+			} else {
+				ob.pending = append(ob.pending, outboxItem{seq: seq, round: h.Round, env: env})
+			}
 		default:
 			continue // foreign files
 		}

@@ -36,11 +36,11 @@ func serveTCPAddr(t testing.TB, srv *Server) string {
 // treeClients enrolls n users in ref and, partitioned by u%leaves, in the
 // leaf streams, and returns the clients.
 func treeClients(t *testing.T, proto longitudinal.Protocol, ref *server.Stream,
-	leaves []*server.Stream, n int) []longitudinal.AppendReporter {
+	leaves []*server.Stream, n int) []longitudinal.Client {
 	t.Helper()
-	clients := make([]longitudinal.AppendReporter, n)
+	clients := make([]longitudinal.Client, n)
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(randsrc.Derive(41, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(41, uint64(u)))
 		clients[u] = cl
 		if err := ref.Enroll(u, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
@@ -209,7 +209,7 @@ func TestMergeRejections(t *testing.T) {
 		t.Fatal(err)
 	}
 	otherLeaf := newTestStream(t, other)
-	cl := other.NewClient(1).(longitudinal.AppendReporter)
+	cl := other.NewClient(1)
 	if err := otherLeaf.Enroll(1, cl.WireRegistration()); err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestDrainInFlightBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer conn.Close()
-	cl := proto.NewClient(9).(longitudinal.AppendReporter)
+	cl := proto.NewClient(9)
 	frames, err := AppendEnrollFrame(nil, 9, cl.WireRegistration())
 	if err != nil {
 		t.Fatal(err)

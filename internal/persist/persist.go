@@ -15,7 +15,7 @@
 // Layout (all fixed-width integers little-endian):
 //
 //	u32  magic "LSS1"
-//	u64  spec hash (longitudinal.SpecHashOf of the producing protocol)
+//	u64  spec hash (Spec().Hash() of the producing protocol)
 //	u32  round (0-based index of the open round the tallies belong to)
 //	u32  shard count S
 //	u32  flags (bit 0: registration sections present)
@@ -104,7 +104,7 @@ type User struct {
 type Shard struct {
 	// Counts is the aggregator's exported support-count vector.
 	Counts []int64
-	// N is the report count behind Counts (SnapshotTallier's n).
+	// N is the report count behind Counts (Aggregator.ExportTally's n).
 	N int
 	// Tallied is the shard's reports-this-round counter (Stream.Pending).
 	Tallied int

@@ -159,7 +159,7 @@ func newBenchStream(b *testing.B, proto longitudinal.Protocol, users int) *Strea
 	}
 	var payload []byte
 	for u := 0; u < users; u++ {
-		cl := proto.NewClient(randsrc.Derive(7, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(7, uint64(u)))
 		if err := s.Enroll(u, cl.WireRegistration()); err != nil {
 			b.Fatal(err)
 		}
@@ -198,7 +198,7 @@ func BenchmarkSnapshotLockHold(b *testing.B) {
 	defer s.Close()
 	var payload []byte
 	for u := 0; u < users; u++ {
-		cl := proto.NewClient(randsrc.Derive(7, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(7, uint64(u)))
 		if err := s.Enroll(u, cl.WireRegistration()); err != nil {
 			b.Fatal(err)
 		}

@@ -35,8 +35,8 @@ func columnarSpec(t *testing.T, family string, k int) longitudinal.ProtocolSpec 
 // TestIngestColumnarParity pins the columnar contract: for every
 // registered family and shard count, a columnar batch (enrolling through
 // its registration columns in round 0) tallies bit-identically to Enroll
-// + per-report IngestBatch, and both match a bare aggregator fed the same
-// clients' boxed reports through Client.Report/Aggregator.Add.
+// + per-report IngestBatch, and both match a bare aggregator fed twin
+// clients' payloads one at a time.
 func TestIngestColumnarParity(t *testing.T) {
 	const k, n, rounds = 24, 160, 3
 	for _, family := range longitudinal.Families() {
@@ -47,11 +47,8 @@ func TestIngestColumnarParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Build(%+v): %v", spec, err)
 				}
-				stride, ok := longitudinal.ColumnarStrideOf(proto)
-				if !ok {
-					t.Fatalf("%s: protocol has no columnar stride", family)
-				}
-				specHash := longitudinal.SpecHashOf(proto)
+				stride := proto.WireTallier().PayloadStride()
+				specHash := proto.Spec().Hash()
 
 				ref, err := NewStream(proto, WithShards(shards))
 				if err != nil {
@@ -61,15 +58,15 @@ func TestIngestColumnarParity(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				// The reference: twin clients (same seeds) reporting boxed
-				// values into a bare aggregator.
+				// The reference: twin clients (same seeds) tallying their
+				// payloads into a bare aggregator.
 				bare := proto.NewAggregator()
 				twins := make([]longitudinal.Client, n)
 
-				clients := make([]longitudinal.AppendReporter, n)
+				clients := make([]longitudinal.Client, n)
 				regs := make([]longitudinal.Registration, n)
 				for u := range clients {
-					clients[u] = proto.NewClient(randsrc.Derive(11, uint64(u))).(longitudinal.AppendReporter)
+					clients[u] = proto.NewClient(randsrc.Derive(11, uint64(u)))
 					twins[u] = proto.NewClient(randsrc.Derive(11, uint64(u)))
 					regs[u] = clients[u].WireRegistration()
 					if err := ref.Enroll(u, regs[u]); err != nil {
@@ -96,7 +93,10 @@ func TestIngestColumnarParity(t *testing.T) {
 					for u := range clients {
 						ids[u] = u
 						payloads[u] = clients[u].AppendReport(payloads[u][:0], (u*7+round)%k)
-						bare.Add(u, twins[u].Report((u*7+round)%k))
+						twin := twins[u].AppendReport(nil, (u*7+round)%k)
+						if err := longitudinal.TallyPayload(proto.WireTallier(), bare, u, twin, regs[u]); err != nil {
+							t.Fatal(err)
+						}
 						if round == 0 {
 							err = w.AddWithRegistration(u, payloads[u], regs[u])
 						} else {
@@ -141,8 +141,8 @@ func TestIngestColumnarRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride, _ := longitudinal.ColumnarStrideOf(proto)
-	specHash := longitudinal.SpecHashOf(proto)
+	stride := proto.WireTallier().PayloadStride()
+	specHash := proto.Spec().Hash()
 	cell := make([]byte, stride)
 
 	newStream := func() *Stream {
@@ -188,7 +188,7 @@ func TestIngestColumnarRejections(t *testing.T) {
 
 	t.Run("duplicate row rejected, first tallied", func(t *testing.T) {
 		s := newStream()
-		cl := proto.NewClient(3).(longitudinal.AppendReporter)
+		cl := proto.NewClient(3)
 		if err := s.Enroll(8, cl.WireRegistration()); err != nil {
 			t.Fatal(err)
 		}
@@ -223,7 +223,7 @@ func TestIngestColumnarRejections(t *testing.T) {
 
 	t.Run("conflicting registration reported, report still tallies", func(t *testing.T) {
 		s := newStream()
-		cl := proto.NewClient(3).(longitudinal.AppendReporter)
+		cl := proto.NewClient(3)
 		reg := cl.WireRegistration()
 		if err := s.Enroll(8, reg); err != nil {
 			t.Fatal(err)

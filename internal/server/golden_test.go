@@ -50,16 +50,16 @@ func goldenValue(u, r int) int { return (u*7 + r*5 + u*r) % goldenK }
 type goldenRun struct {
 	t       *testing.T
 	proto   longitudinal.Protocol
-	clients []longitudinal.AppendReporter
+	clients []longitudinal.Client
 	h       hash.Hash64
 }
 
 func newGoldenRun(t *testing.T, proto longitudinal.Protocol) *goldenRun {
-	g := &goldenRun{t: t, proto: proto, clients: make([]longitudinal.AppendReporter, goldenUsers), h: fnv.New64a()}
+	g := &goldenRun{t: t, proto: proto, clients: make([]longitudinal.Client, goldenUsers), h: fnv.New64a()}
 	for u := range g.clients {
 		// The same seeds WithCohort(goldenUsers, goldenSeed) uses, so the
 		// wire paths and the cohort path collect the same reports.
-		g.clients[u] = proto.NewClient(randsrc.Derive(goldenSeed, uint64(u))).(longitudinal.AppendReporter)
+		g.clients[u] = proto.NewClient(randsrc.Derive(goldenSeed, uint64(u)))
 	}
 	return g
 }
@@ -144,13 +144,10 @@ func goldenPaths(t *testing.T, proto longitudinal.Protocol) map[string]uint64 {
 	// Columnar: round 0 enrolls through the registration columns.
 	g = newGoldenRun(t, proto)
 	s = g.stream(WithShards(2))
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		t.Fatal("protocol has no columnar stride")
-	}
+	stride := proto.WireTallier().PayloadStride()
 	d := len(g.clients[0].WireRegistration().Sampled)
 	for r := 0; r < goldenRounds; r++ {
-		w, err := longitudinal.NewColumnarWriter(longitudinal.SpecHashOf(proto), stride)
+		w, err := longitudinal.NewColumnarWriter(proto.Spec().Hash(), stride)
 		g.check(err)
 		if r == 0 {
 			g.check(w.WithRegistrations(d))

@@ -26,17 +26,6 @@ import (
 // whole-batch fault ErrColumnarMismatch guards on the ingestion path.
 var ErrSnapshotMismatch = errors.New("snapshot does not match the stream's protocol")
 
-// snapshotTallier resolves the aggregator's export/import contract; every
-// aggregator in this repository implements it (wirecontract pins the
-// assertions), but a stream can front an external protocol that doesn't.
-func snapshotTallier(agg longitudinal.Aggregator) (longitudinal.SnapshotTallier, error) {
-	st, ok := agg.(longitudinal.SnapshotTallier)
-	if !ok {
-		return nil, fmt.Errorf("server: aggregator %T does not implement longitudinal.SnapshotTallier", agg)
-	}
-	return st, nil
-}
-
 // Snapshot writes the stream's full open-round state — every shard's
 // tallies, registration table and reported bits, plus the open round's
 // index — as one LSS1 image. It excludes all ingestion only while it
@@ -96,12 +85,8 @@ func (s *Stream) captureState() (*persist.Snapshot, []userTable, error) {
 	}
 	tables := make([]userTable, len(s.shards))
 	for i, sh := range s.shards {
-		st, err := snapshotTallier(sh.agg)
-		if err != nil {
-			return nil, nil, err
-		}
 		dst := &snap.Shards[i]
-		dst.Counts, dst.N = st.ExportTally(nil)
+		dst.Counts, dst.N = sh.agg.ExportTally(nil)
 		dst.Tallied = sh.tallied
 		n := len(sh.ids)
 		tables[i] = userTable{ids: sh.ids[:n:n], regs: sh.regs[:n:n], reported: sh.reported.Clone()}
@@ -144,10 +129,6 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 	if !snap.HasUsers {
 		return nil, fmt.Errorf("server: tally-only snapshot cannot restore a stream (no registration tables)")
 	}
-	st0, err := snapshotTallier(s.shards[0].agg)
-	if err != nil {
-		return nil, err
-	}
 	for si := range snap.Shards {
 		src := &snap.Shards[si]
 		for ui := range src.Users {
@@ -160,7 +141,7 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 				sh.reported.Set(sh.slots[u.ID], true)
 			}
 		}
-		if err := st0.ImportTally(src.Counts, src.N); err != nil {
+		if err := s.shards[0].agg.ImportTally(src.Counts, src.N); err != nil {
 			return nil, fmt.Errorf("server: restoring shard %d tallies: %w", si, err)
 		}
 		s.shards[0].tallied += src.Tallied
@@ -173,6 +154,35 @@ func RestoreStream(r io.Reader, proto longitudinal.Protocol, opts ...Option) (*S
 	}
 	s.baseRound = snap.Round
 	return s, nil
+}
+
+// ResumeAfter makes round the stream's last closed round when the open
+// round is not newer: the open round's pending tallies and reported bits
+// are dropped, the round history is cleared, and the stream opens round+1
+// with its enrolled users intact. A collector-tree leaf calls it at boot
+// with the round of the newest envelope in its outbox: that envelope
+// already carries the round's reports, and a snapshot taken before the
+// round closed still holds them pending. It returns the number of pending
+// reports dropped.
+func (s *Stream) ResumeAfter(round int) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.baseRound+len(s.results) > round {
+		return 0
+	}
+	dropped := 0
+	for _, sh := range s.shards {
+		sh.agg.EndRound() // discards the round's tallies
+		dropped += sh.tallied
+		sh.tallied = 0
+		sh.reported.Reset()
+	}
+	if s.merge != nil {
+		s.merge.EndRound()
+	}
+	s.results = nil
+	s.baseRound = round + 1
+	return dropped
 }
 
 // MergeRemote adds a snapshot's tallies into the stream's open round —
@@ -198,14 +208,10 @@ func (s *Stream) importTallies(snap *persist.Snapshot) (int, error) {
 	sh := s.shards[0]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	st, err := snapshotTallier(sh.agg)
-	if err != nil {
-		return 0, err
-	}
 	merged := 0
 	for si := range snap.Shards {
 		src := &snap.Shards[si]
-		if err := st.ImportTally(src.Counts, src.N); err != nil {
+		if err := sh.agg.ImportTally(src.Counts, src.N); err != nil {
 			// The length check precedes any mutation, and every shard
 			// section of one protocol has the same tally length, so a
 			// failure here means nothing was imported.
@@ -307,16 +313,13 @@ func (s *Stream) Ledger() []persist.LedgerEntry {
 // tally-only snapshot — the leaf half of the collector tree: the leaf
 // publishes its local RoundResult (its partition's estimates) and ships
 // the snapshot to the root, whose MergeRemote recovers the global counts.
+// Every aggregator exports its tallies, so the error is always nil.
 func (s *Stream) CloseRoundExport() (RoundResult, *persist.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	target := s.shards[0].agg
 	if s.merge != nil {
 		target = s.merge
-	}
-	st, err := snapshotTallier(target)
-	if err != nil {
-		return RoundResult{}, nil, err
 	}
 	round := s.baseRound + len(s.results)
 	// Merge the shard tallies into the round target first — exactly what
@@ -329,7 +332,7 @@ func (s *Stream) CloseRoundExport() (RoundResult, *persist.Snapshot, error) {
 		}
 	}
 	snap := &persist.Snapshot{SpecHash: s.specHash, Round: round, Shards: make([]persist.Shard, 1)}
-	snap.Shards[0].Counts, snap.Shards[0].N = st.ExportTally(nil)
+	snap.Shards[0].Counts, snap.Shards[0].N = target.ExportTally(nil)
 	res := s.closeRoundLocked(0)
 	snap.Shards[0].Tallied = res.Reports
 	return res, snap, nil

@@ -23,7 +23,7 @@ func buildParityFleet(t *testing.T, proto longitudinal.Protocol, n, rounds, k in
 		payloads[r] = make([][]byte, n)
 	}
 	for u := 0; u < n; u++ {
-		cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+		cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 		reg := cl.WireRegistration()
 		for _, s := range streams {
 			if err := s.Enroll(u, reg); err != nil {
@@ -260,7 +260,7 @@ func TestMergeTreeParity(t *testing.T) {
 						payloads[r] = make([][]byte, n)
 					}
 					for u := 0; u < n; u++ {
-						cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+						cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 						reg := cl.WireRegistration()
 						if err := single.Enroll(u, reg); err != nil {
 							t.Fatal(err)
@@ -394,7 +394,7 @@ func TestSnapshotDuringEnrollment(t *testing.T) {
 		go func(w int) {
 			for i := 0; i < perWriter; i++ {
 				u := w*perWriter + i
-				cl := proto.NewClient(randsrc.Derive(23, uint64(u))).(longitudinal.AppendReporter)
+				cl := proto.NewClient(randsrc.Derive(23, uint64(u)))
 				if err := s.Enroll(u, cl.WireRegistration()); err != nil {
 					done <- err
 					return

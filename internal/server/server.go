@@ -5,13 +5,12 @@
 // The service tallies and publishes per-round results.
 //
 // Stream is the production-facing face of the library: everything the
-// simulation harness does with in-memory Report values, a Stream does from
+// simulation harness does with in-process clients, a Stream does from
 // bytes — and tests prove the paths produce identical estimates.
 //
-// Payload ingestion has one contract: the protocol implements
-// longitudinal.TallyProtocol, whose ColumnarTallier tallies payload bits
-// straight into the shard aggregators with zero steady-state allocations
-// (every protocol in this repository does). Nothing in this package
+// Payload ingestion has one contract: the protocol's WireTallier, a
+// ColumnarTallier that tallies payload bits straight into the shard
+// aggregators with zero steady-state allocations. Nothing in this package
 // enumerates protocol types.
 package server
 

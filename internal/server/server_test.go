@@ -23,8 +23,9 @@ func registrationOf(cl longitudinal.Client) Registration {
 // Stream: enrollment, per-report ingestion, round publication and access.
 
 func TestCollectionMatchesDirectAggregation(t *testing.T) {
-	// Byte path (Enroll/Ingest/CloseRound) vs a bare aggregator fed by
-	// Client.Report/Add: identical estimates for every protocol family.
+	// Byte path (Enroll/Ingest/CloseRound) vs a bare aggregator fed the
+	// same payloads through the tallier: identical estimates for every
+	// protocol family.
 	const k, n, rounds = 24, 1200, 3
 	protos := map[string]longitudinal.Protocol{}
 	if p, err := core.NewBinary(k, 2, 1); err == nil {
@@ -59,15 +60,16 @@ func TestCollectionMatchesDirectAggregation(t *testing.T) {
 		for round := 0; round < rounds; round++ {
 			for u, cl := range clients {
 				v := (u + round*r.Intn(k)) % k
-				rep := cl.Report(v)
-				direct.Add(u, rep)
+				rep := cl.AppendReport(nil, v)
+				if err := longitudinal.TallyPayload(proto.WireTallier(), direct, u, rep, cl.WireRegistration()); err != nil {
+					t.Fatalf("%s: direct tally: %v", name, err)
+				}
 				if name == "dBitFlipPM" && round == 0 {
-					db := rep.(longitudinal.DBitReport)
-					if err := col.Enroll(u, Registration{Sampled: db.Sampled}); err != nil {
+					if err := col.Enroll(u, Registration{Sampled: cl.WireRegistration().Sampled}); err != nil {
 						t.Fatalf("%s: enroll: %v", name, err)
 					}
 				}
-				if err := col.Ingest(u, rep.AppendBinary(nil)); err != nil {
+				if err := col.Ingest(u, rep); err != nil {
 					t.Fatalf("%s: ingest: %v", name, err)
 				}
 			}
@@ -90,7 +92,7 @@ func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 	proto, _ := core.NewBinary(10, 2, 1)
 	col := mustStream(t, proto)
 	cl := proto.NewClient(1).(*core.Client)
-	payload := cl.ReportValue(3).AppendBinary(nil)
+	payload := cl.AppendReport(nil, 3)
 
 	if err := col.Ingest(0, payload); err == nil {
 		t.Error("unenrolled ingest accepted")
@@ -105,7 +107,7 @@ func TestCollectionRejectsUnknownAndDuplicate(t *testing.T) {
 		t.Error("duplicate report in one round accepted")
 	}
 	col.CloseRound()
-	if err := col.Ingest(0, cl.ReportValue(3).AppendBinary(nil)); err != nil {
+	if err := col.Ingest(0, cl.AppendReport(nil, 3)); err != nil {
 		t.Errorf("fresh round report rejected: %v", err)
 	}
 }
@@ -153,7 +155,7 @@ func TestCollectionPublishedRoundsImmutable(t *testing.T) {
 	if err := col.Enroll(0, Registration{HashSeed: cl.HashSeed()}); err != nil {
 		t.Fatal(err)
 	}
-	if err := col.Ingest(0, cl.ReportValue(5).AppendBinary(nil)); err != nil {
+	if err := col.Ingest(0, cl.AppendReport(nil, 5)); err != nil {
 		t.Fatal(err)
 	}
 	closed := col.CloseRound().Raw
@@ -226,7 +228,7 @@ func TestCollectionConcurrentIngest(t *testing.T) {
 		if err := col.Enroll(u, Registration{HashSeed: cl.HashSeed()}); err != nil {
 			t.Fatal(err)
 		}
-		payloads[u] = cl.ReportValue(u % k).AppendBinary(nil)
+		payloads[u] = cl.AppendReport(nil, u%k)
 	}
 	var wg sync.WaitGroup
 	errs := make(chan error, n)

@@ -35,8 +35,7 @@ import (
 // own lock, enrollment/report maps and aggregator fork, so concurrent
 // Ingest calls from different shards never contend. CloseRound acts as a
 // round barrier — it excludes all ingestion, merges the shard tallies and
-// publishes the estimates. With a non-mergeable aggregator the service
-// degrades to a single shard.
+// publishes the estimates.
 type Stream struct {
 	proto longitudinal.Protocol
 	// tallier is the ingestion path: payload bits tally directly into the
@@ -44,7 +43,7 @@ type Stream struct {
 	tallier longitudinal.ColumnarTallier
 
 	// specHash fingerprints the stream's protocol configuration
-	// (longitudinal.SpecHashOf); columnar batches carry the producer's
+	// (its Spec().Hash()); columnar batches carry the producer's
 	// hash and IngestColumnar rejects the whole batch on mismatch.
 	specHash uint64
 
@@ -52,7 +51,7 @@ type Stream struct {
 	// Enroll, Ingest and the published-history readers hold it shared
 	// (results and subscribers are only mutated under the exclusive lock).
 	mu     sync.RWMutex
-	merge  longitudinal.MergeableAggregator // nil when single-shard
+	merge  longitudinal.Aggregator // nil when single-shard
 	shards []*streamShard
 
 	// scratch pools the batch paths' per-shard index lists so
@@ -197,9 +196,8 @@ func WithCohort(n int, seed uint64) Option {
 	return func(c *streamConfig) { c.cohortN = n; c.cohortSet = true; c.seed = seed }
 }
 
-// NewStream returns a collection service for the protocol, which must
-// implement longitudinal.TallyProtocol: its tallier is the only way a
-// payload reaches the stream's tallies.
+// NewStream returns a collection service for the protocol; its tallier
+// is the only way a payload reaches the stream's tallies.
 func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	cfg := streamConfig{roundCap: 16}
 	for _, o := range opts {
@@ -220,38 +218,27 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	if cfg.cohortSet && cfg.cohortN < 1 {
 		return nil, fmt.Errorf("server: cohort needs at least one user, got %d", cfg.cohortN)
 	}
-	tp, ok := proto.(longitudinal.TallyProtocol)
-	if !ok {
-		return nil, fmt.Errorf("server: protocol %s (%T) does not implement longitudinal.TallyProtocol: it needs WireTallier() returning a ColumnarTallier (PayloadStride + TallyCell)",
-			proto.Name(), proto)
-	}
 
 	s := &Stream{
 		proto:    proto,
-		tallier:  tp.WireTallier(),
-		specHash: longitudinal.SpecHashOf(proto),
+		tallier:  proto.WireTallier(),
+		specHash: proto.Spec().Hash(),
 		pp:       cfg.pp,
 		roundCap: cfg.roundCap,
 	}
 	agg := proto.NewAggregator()
-	shards := cfg.shards
-	ma, mergeable := agg.(longitudinal.MergeableAggregator)
-	if shards < 1 || !mergeable {
-		shards = 1
+	if cfg.shards > 1 {
+		s.merge = agg
 	}
-	if shards > 1 {
-		s.merge = ma
-	}
-	s.shards = make([]*streamShard, shards)
+	s.shards = make([]*streamShard, cfg.shards)
 	for i := range s.shards {
 		sh := &streamShard{
 			slots:    make(map[int]int),
 			reported: bitset.New(0),
+			agg:      agg,
 		}
 		if s.merge != nil {
-			sh.agg = ma.Fork()
-		} else {
-			sh.agg = agg
+			sh.agg = agg.Fork()
 		}
 		s.shards[i] = sh
 	}
@@ -282,12 +269,7 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		}
 		// Cohort tallies land in the round's merge target so Collect and
 		// wire ingestion share rounds.
-		target := agg
-		s.collector = longitudinal.NewShardedCollector(target, cfg.cohortN, cfg.shards)
-		// Route cohort collection through the same allocation-free
-		// generate→tally round trip as wire ingestion (clients emit
-		// AppendReport payloads into per-shard buffers).
-		s.collector.EnableTallyDirect(s.tallier)
+		s.collector = longitudinal.NewShardedCollector(agg, s.tallier, cfg.cohortN, cfg.shards)
 	}
 	return s, nil
 }

@@ -25,21 +25,14 @@ import (
 // cohort Replay builds — so ReplayColumnar over the files reproduces
 // Replay's estimates bit-identically.
 func ExportColumnar(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, dir string) ([]string, error) {
-	stride, ok := longitudinal.ColumnarStrideOf(proto)
-	if !ok {
-		return nil, fmt.Errorf("simulation: %s has no columnar tallier", proto.Name())
-	}
-	specHash := longitudinal.SpecHashOf(proto)
+	stride := proto.WireTallier().PayloadStride()
+	specHash := proto.Spec().Hash()
 	n, tau := ds.N(), ds.Tau()
-	clients := make([]longitudinal.AppendReporter, n)
+	clients := make([]longitudinal.Client, n)
 	regs := make([]longitudinal.Registration, n)
 	for u := range clients {
-		cl, ok := proto.NewClient(randsrc.Derive(seed, uint64(u))).(longitudinal.AppendReporter)
-		if !ok {
-			return nil, fmt.Errorf("simulation: %s client lacks the append fast path", proto.Name())
-		}
-		clients[u] = cl
-		regs[u] = cl.WireRegistration()
+		clients[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
+		regs[u] = clients[u].WireRegistration()
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err

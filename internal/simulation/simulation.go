@@ -248,17 +248,11 @@ func mseRun(ds *datasets.Dataset, truth [][]float64, proto longitudinal.Protocol
 }
 
 // newCollector builds the per-run collection engine, routed through the
-// protocol's allocation-free wire fast path (AppendReport + tally-direct)
-// whenever the protocol supports it — every built-in family does. The
-// grid's millions of simulated reports then generate and tally without a
-// bitset, boxed Report or wire-buffer allocation per report; estimates are
-// bit-identical to the Report/Add path.
+// protocol's allocation-free wire path (AppendReport + TallyCell): the
+// grid's millions of simulated reports generate and tally without a
+// bitset or wire-buffer allocation per report.
 func newCollector(proto longitudinal.Protocol, n, shards int) *longitudinal.ShardedCollector {
-	collector := longitudinal.NewShardedCollector(proto.NewAggregator(), n, shards)
-	if tp, ok := proto.(longitudinal.TallyProtocol); ok {
-		collector.EnableTallyDirect(tp.WireTallier())
-	}
-	return collector
+	return longitudinal.NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), n, shards)
 }
 
 // ---------------------------------------------------------------------------

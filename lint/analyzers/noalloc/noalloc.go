@@ -142,8 +142,8 @@ var trustTable = []trustRule{
 	// The round state's add surface, embedded by every aggregator.
 	{"internal/longitudinal", "Tally", "AddIndex"},
 	{"internal/longitudinal", "Tally", "AddRow"},
-	{"internal/longitudinal", "AppendReporter", "AppendReport"},
-	{"internal/longitudinal", "AppendReporter", "WireRegistration"},
+	{"internal/longitudinal", "Client", "AppendReport"},
+	{"internal/longitudinal", "Client", "WireRegistration"},
 	// Columnar batch surface: the decoder reuses the batch's columns (the
 	// payload column aliases the source) and the accessors slice them;
 	// ColumnarTallier implementations carry their own annotations.
@@ -155,7 +155,6 @@ var trustTable = []trustRule{
 	{"internal/longitudinal", "ColumnarTallier", "PayloadStride"},
 	{"internal/longitudinal", "ColumnarTallier", "TallyCell"},
 	// core's annotated surface, for the server package.
-	{"internal/core", "Aggregator", "AddReport"},
 	{"internal/core", "Client", "AppendReport"},
 	// server's annotated ingestion surface, for the netserver frame loop.
 	{"internal/server", "Stream", "Ingest"},

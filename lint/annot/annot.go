@@ -6,7 +6,6 @@
 //	//loloha:steady               (statement)  force-check an early-exit branch
 //	//loloha:locksafe <why>       (statement)  exempt a lockorder finding
 //	//loloha:orderindep <why>     (statement)  exempt a detrand map-range
-//	//loloha:boxed <why>          (statement)  family intentionally boxed
 //
 // Statement-level markers apply to code on the marker's own line or on the
 // line directly below (i.e. a marker may trail the statement or sit on its

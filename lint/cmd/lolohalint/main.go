@@ -1,7 +1,6 @@
 // Command lolohalint is the multichecker for the LOLOHA engine's
 // machine-checked contracts: noalloc (zero-alloc hot paths), lockorder
-// (server lock discipline), detrand (estimate-path determinism) and
-// wirecontract (fast-path interface assertions for registered families).
+// (server lock discipline) and detrand (estimate-path determinism).
 //
 // Run it standalone:
 //
@@ -17,7 +16,6 @@ import (
 	"github.com/loloha-ldp/loloha/lint/analyzers/detrand"
 	"github.com/loloha-ldp/loloha/lint/analyzers/lockorder"
 	"github.com/loloha-ldp/loloha/lint/analyzers/noalloc"
-	"github.com/loloha-ldp/loloha/lint/analyzers/wirecontract"
 	"github.com/loloha-ldp/loloha/lint/runner"
 )
 
@@ -26,6 +24,5 @@ func main() {
 		noalloc.Analyzer,
 		lockorder.Analyzer,
 		detrand.Analyzer,
-		wirecontract.Analyzer,
 	)
 }

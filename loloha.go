@@ -6,9 +6,10 @@
 // build on (GRR, BLH/OLH, SUE/OUE).
 //
 // The core abstraction is a Protocol that binds a per-user Client (which
-// sanitizes one value per collection round and tracks its own longitudinal
-// privacy ledger) to a server-side Aggregator (which tallies a round of
-// reports and produces unbiased frequency estimates).
+// sanitizes one value per collection round into a wire payload and tracks
+// its own longitudinal privacy ledger) to a server-side Aggregator (whose
+// support counts the protocol's ColumnarTallier fills from those payloads,
+// and which produces a round's unbiased frequency estimates).
 //
 //	proto, _ := loloha.NewBiLOLOHA(k, 1.0 /* ε∞ */, 0.5 /* ε1 */)
 //	stream, _ := loloha.NewStream(proto, loloha.WithCohort(numUsers, seed))
@@ -41,19 +42,14 @@ type Client = longitudinal.Client
 // Aggregator is the server side of a longitudinal protocol.
 type Aggregator = longitudinal.Aggregator
 
-// MergeableAggregator is an Aggregator that supports sharded parallel
-// collection via Fork and Merge. Every aggregator in this repository
-// implements it.
-type MergeableAggregator = longitudinal.MergeableAggregator
-
 // Tally is an aggregator's open-round state — support counts plus the
 // report count N — with the ExportTally/ImportTally, merge (Absorb) and
 // Reset bodies every aggregator in this repository shares. An external
 // aggregator embeds the value NewTally(k) returns, adds each report's
 // support with AddIndex (one position) or AddRow (a packed 0/1 row over
 // all k positions), increments N, and reads the counts back with Counts()
-// when it estimates. Embedding it gives the aggregator the snapshot
-// contract (Stream.Snapshot, the collector tree) for free.
+// when it estimates. Embedding it gives the aggregator ExportTally and
+// ImportTally, the snapshot half of the Aggregator contract.
 type Tally = longitudinal.Tally
 
 // NewTally returns the empty round state of a k-position tally, the value
@@ -62,17 +58,6 @@ func NewTally(k int) Tally { return longitudinal.NewTally(k) }
 
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol
-
-// Report is one round's sanitized payload.
-type Report = longitudinal.Report
-
-// AppendReporter is a Client with an allocation-free emission path:
-// AppendReport writes the round's steady-state wire payload straight into
-// a caller buffer (no boxed Report, no intermediate bitset) and
-// WireRegistration exposes the client's enrollment metadata. Every client
-// in this repository implements it; collection layers use it automatically
-// and fall back to Report for clients that don't.
-type AppendReporter = longitudinal.AppendReporter
 
 // LOLOHA is the configured protocol of the paper (Algorithms 1 and 2).
 type LOLOHA = core.Protocol
@@ -170,13 +155,6 @@ type RoundResult = server.RoundResult
 // StreamOption configures a Stream.
 type StreamOption = server.Option
 
-// TallyProtocol is a Protocol whose payloads can be tallied in place: its
-// WireTallier returns the ColumnarTallier that moves each payload's bits
-// straight into the round's support counts. It is the one ingestion
-// contract of Stream — every protocol in this repository implements it,
-// and NewStream rejects a protocol that does not.
-type TallyProtocol = longitudinal.TallyProtocol
-
 // ---------------------------------------------------------------------------
 // Columnar batch wire format.
 
@@ -198,7 +176,7 @@ type ColumnarWriter = longitudinal.ColumnarWriter
 type ColumnarTallier = longitudinal.ColumnarTallier
 
 // NewColumnarWriter returns a writer for batches of stride-byte payload
-// cells bound to the given protocol spec hash (see SpecHashOf).
+// cells bound to the given protocol spec hash, p.Spec().Hash().
 func NewColumnarWriter(specHash uint64, stride int) (*ColumnarWriter, error) {
 	return longitudinal.NewColumnarWriter(specHash, stride)
 }
@@ -209,22 +187,12 @@ func DecodeColumnar(src []byte, b *ColumnarBatch) error {
 	return longitudinal.DecodeColumnar(src, b)
 }
 
-// ColumnarStrideOf returns the fixed payload size the protocol's tallier
-// expects per report, or false if the protocol is not a TallyProtocol.
-func ColumnarStrideOf(p Protocol) (int, bool) { return longitudinal.ColumnarStrideOf(p) }
-
-// SpecHashOf returns the stable hash of the protocol's normalized spec —
-// the value producers must stamp into columnar batch headers — or 0 if
-// the protocol does not expose a spec.
-func SpecHashOf(p Protocol) uint64 { return longitudinal.SpecHashOf(p) }
-
 // ErrColumnarMismatch reports a columnar batch whose spec hash or payload
 // stride does not match the stream's protocol; Stream.IngestColumnar
 // rejects the whole batch without tallying any of its rows.
 var ErrColumnarMismatch = server.ErrColumnarMismatch
 
-// NewStream returns a collection service for the protocol, which must
-// implement TallyProtocol (every built-in protocol does).
+// NewStream returns a collection service for the protocol.
 func NewStream(proto Protocol, opts ...StreamOption) (*Stream, error) {
 	return server.NewStream(proto, opts...)
 }

@@ -150,18 +150,11 @@ func TestShardedCollectionServiceMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	type lolohaClient interface {
-		HashSeed() uint64
-		Report(v int) loloha.Report
-	}
-	clients := make([]lolohaClient, n)
+	clients := make([]loloha.Client, n)
 	for u := 0; u < n; u++ {
-		cl, ok := proto.NewClient(uint64(u) * 2654435761).(lolohaClient)
-		if !ok {
-			t.Fatal("LOLOHA client does not expose HashSeed")
-		}
+		cl := proto.NewClient(uint64(u) * 2654435761)
 		clients[u] = cl
-		reg := loloha.Registration{HashSeed: cl.HashSeed()}
+		reg := cl.WireRegistration()
 		if err := serial.Enroll(u, reg); err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +164,7 @@ func TestShardedCollectionServiceMatchesSerial(t *testing.T) {
 	}
 	for round := 0; round < 2; round++ {
 		for u, cl := range clients {
-			payload := cl.Report((u + round) % k).AppendBinary(nil)
+			payload := cl.AppendReport(nil, (u+round)%k)
 			if err := serial.Ingest(u, payload); err != nil {
 				t.Fatal(err)
 			}

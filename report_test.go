@@ -1,8 +1,9 @@
 // Tests for the allocation-free report-generation path: every client
-// family must implement AppendReporter, emit bytes identical to the boxed
-// Report path, and — the headline guarantee mirroring the ingestion side's
-// TestIngestSteadyStateZeroAllocs — allocate nothing per report in steady
-// state, pinned with testing.AllocsPerRun.
+// family must emit payloads of exactly its tallier's stride that its wire
+// decoder accepts, deterministically per seed, and — the headline
+// guarantee mirroring the ingestion side's TestIngestSteadyStateZeroAllocs
+// — allocate nothing per report in steady state, pinned with
+// testing.AllocsPerRun.
 package loloha_test
 
 import (
@@ -37,33 +38,38 @@ func reportProtocols(t testing.TB, k int) map[string]loloha.Protocol {
 	return protos
 }
 
-// TestEveryClientImplementsAppendReporter: the emission fast path is part
-// of the family contract, like WireTallier on the ingestion side.
+// TestEveryClientImplementsAppendReporter: the emission half of the
+// family contract matches the ingestion half — every payload a client
+// emits is exactly its protocol's tallier stride.
 func TestEveryClientImplementsAppendReporter(t *testing.T) {
 	for name, proto := range reportProtocols(t, 64) {
-		if _, ok := proto.NewClient(1).(loloha.AppendReporter); !ok {
-			t.Errorf("%s client does not implement AppendReporter", name)
+		stride := proto.WireTallier().PayloadStride()
+		if got := len(proto.NewClient(1).AppendReport(nil, 3)); got != stride {
+			t.Errorf("%s client emits %d-byte payloads, tallier stride is %d", name, got, stride)
 		}
 	}
 }
 
 // TestAppendReportMatchesBoxedReport: for every family, same-seed clients
-// driven through Report().AppendBinary and AppendReport emit identical
-// wire bytes round for round — the interchangeability contract collection
-// layers rely on when they pick the fast path.
+// emit identical wire bytes round for round, and every payload decodes to
+// exactly one report under the family's wire decoder — the contract
+// collection layers rely on when they replay or shard a cohort.
 func TestAppendReportMatchesBoxedReport(t *testing.T) {
 	const k, rounds = 96, 12
 	for name, proto := range reportProtocols(t, k) {
 		t.Run(name, func(t *testing.T) {
-			boxedCl := proto.NewClient(17)
-			appendCl := proto.NewClient(17).(loloha.AppendReporter)
-			var boxed, buf []byte
+			refCl := proto.NewClient(17)
+			appendCl := proto.NewClient(17)
+			var ref, buf []byte
 			for i := 0; i < rounds; i++ {
 				v := (i * 13) % k
-				boxed = boxedCl.Report(v).AppendBinary(boxed[:0])
+				ref = refCl.AppendReport(ref[:0], v)
 				buf = appendCl.AppendReport(buf[:0], v)
-				if !bytes.Equal(boxed, buf) {
-					t.Fatalf("round %d: Report %x != AppendReport %x", i, boxed, buf)
+				if !bytes.Equal(ref, buf) {
+					t.Fatalf("round %d: same-seed clients emitted %x and %x", i, ref, buf)
+				}
+				if err := decodeReport(proto, buf, appendCl.WireRegistration()); err != nil {
+					t.Fatalf("round %d: payload %x rejected by the wire decoder: %v", i, buf, err)
 				}
 			}
 		})
@@ -81,7 +87,7 @@ func TestAppendReportSteadyStateZeroAllocs(t *testing.T) {
 	const k, working, runs = 256, 8, 200
 	for name, proto := range reportProtocols(t, k) {
 		t.Run(name, func(t *testing.T) {
-			cl := proto.NewClient(3).(loloha.AppendReporter)
+			cl := proto.NewClient(3)
 			buf := make([]byte, 0, (k+7)/8)
 			// Warm-up: materialize the memoized state for the working set
 			// (first-sight cost, not steady state).
@@ -101,8 +107,8 @@ func TestAppendReportSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // TestStreamCollectUsesWireFastPath: a cohort Stream and hand-driven
-// clients over the Report/Add path must agree bit for bit, proving the
-// rerouted Collect changed the cost model, not the estimates.
+// clients tallied serially into one bare aggregator must agree bit for
+// bit, so sharded collection changes the cost model, not the estimates.
 func TestStreamCollectUsesWireFastPath(t *testing.T) {
 	const k, n, rounds = 32, 200, 3
 	for name, proto := range reportProtocols(t, k) {
@@ -111,8 +117,8 @@ func TestStreamCollectUsesWireFastPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// The reference: the same deterministic cohort, tallied through
-			// boxed reports.
+			// The reference: the same deterministic cohort, tallied one
+			// payload at a time.
 			clients := make([]loloha.Client, n)
 			for u := range clients {
 				clients[u] = proto.NewClient(cohortSeed(5, uint64(u)))
@@ -128,10 +134,10 @@ func TestStreamCollectUsesWireFastPath(t *testing.T) {
 					t.Fatal(err)
 				}
 				for u, cl := range clients {
-					agg.Add(u, cl.Report(values[u]))
+					tallyPayload(t, proto, agg, u, cl, values[u])
 				}
 				if want := agg.EndRound(); !equalFloats(res.Raw, want) {
-					t.Fatalf("round %d: Collect estimates diverged from Report/Add path", round)
+					t.Fatalf("round %d: Collect estimates diverged from the serial path", round)
 				}
 			}
 		})

@@ -13,9 +13,9 @@ import (
 //	stream, _ := loloha.NewStream(proto)
 //
 // Every New* constructor has a spec equivalent (see the README migration
-// table), every built protocol describes itself back via SpecOf, and a
-// family registered once with RegisterFamily is constructible from a spec
-// everywhere — Stream serving, simulation grids and the lolohasim CLI.
+// table), every built protocol describes itself back via its Spec method,
+// and a family registered once with RegisterFamily is constructible from a
+// spec everywhere — Stream serving, simulation grids and the lolohasim CLI.
 
 // ProtocolSpec is the declarative protocol description: a family name plus
 // the union of every family's parameters (K, G, B, D, EpsInf, Eps1).
@@ -41,11 +41,6 @@ const (
 	SpecFieldEpsInf = longitudinal.FieldEpsInf
 	SpecFieldEps1   = longitudinal.FieldEps1
 )
-
-// SpecProtocol is a Protocol that describes itself as a ProtocolSpec, so
-// built protocols round-trip (spec → Build → Spec → Build) to bit-identical
-// configurations. Every protocol in this repository implements it.
-type SpecProtocol = longitudinal.SpecProtocol
 
 // RegisterFamily associates a protocol family name with its builder and
 // parameter domains. One registration makes the family
@@ -78,10 +73,4 @@ func ParseSpec(data []byte) (ProtocolSpec, error) {
 // as a one-element list) — the `lolohasim -spec <file.json>` format.
 func ParseSpecs(data []byte) ([]ProtocolSpec, error) {
 	return longitudinal.ParseSpecs(data)
-}
-
-// SpecOf returns the declarative spec of a built protocol, when the
-// protocol can describe itself (every protocol in this repository can).
-func SpecOf(p Protocol) (ProtocolSpec, bool) {
-	return longitudinal.SpecOf(p)
 }

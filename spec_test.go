@@ -163,10 +163,7 @@ func TestSpecProtocolRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			derived, ok := loloha.SpecOf(first)
-			if !ok {
-				t.Fatalf("%T does not describe itself as a spec", first)
-			}
+			derived := first.Spec()
 			second, err := derived.Build()
 			if err != nil {
 				t.Fatalf("derived spec %+v does not build: %v", derived, err)

@@ -40,7 +40,7 @@ func TestStreamSlowSubscriberDropPolicy(t *testing.T) {
 	for round := 0; round < rounds; round++ {
 		// Distinct value per round so the published estimates differ and a
 		// backfill comparison cannot pass by accident.
-		if err := stream.Ingest(0, cl.Report(round%k).AppendBinary(nil)); err != nil {
+		if err := stream.Ingest(0, cl.AppendReport(nil, round%k)); err != nil {
 			t.Fatal(err)
 		}
 		// CloseRound runs on this goroutine with the slow buffer full from
@@ -61,7 +61,7 @@ func TestStreamSlowSubscriberDropPolicy(t *testing.T) {
 	if res := <-slow; res.Round != 0 {
 		t.Fatalf("slow subscriber's first buffered round = %d, want 0", res.Round)
 	}
-	if err := stream.Ingest(0, cl.Report(3).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(0, cl.AppendReport(nil, 3)); err != nil {
 		t.Fatal(err)
 	}
 	stream.CloseRound()
@@ -115,7 +115,7 @@ func TestStreamSubscribeAfterClose(t *testing.T) {
 	if _, ok := <-stream.Subscribe(); ok {
 		t.Fatal("Subscribe after Close delivered a value")
 	}
-	if err := stream.Ingest(0, cl.Report(5).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(0, cl.AppendReport(nil, 5)); err != nil {
 		t.Fatalf("ingest after Close: %v", err)
 	}
 	if res := stream.CloseRound(); res.Reports != 1 {
@@ -155,7 +155,7 @@ func TestStreamCloseWhileBatchInFlight(t *testing.T) {
 			if err := stream.Enroll(id, registrationFor(t, cl)); err != nil {
 				t.Fatal(err)
 			}
-			perWorker[w] = append(perWorker[w], user{id, cl.Report(id % k).AppendBinary(nil)})
+			perWorker[w] = append(perWorker[w], user{id, cl.AppendReport(nil, id%k)})
 		}
 	}
 
@@ -255,7 +255,7 @@ func TestStreamLifecycleRaces(t *testing.T) {
 					t.Error(err)
 					return
 				}
-				payload := cl.Report(id % k).AppendBinary(nil)
+				payload := cl.AppendReport(nil, id%k)
 				if id%2 == 0 {
 					stream.Ingest(id, payload) // duplicate-vs-round races are data, not errors
 				} else {

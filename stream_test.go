@@ -9,28 +9,22 @@ import (
 	"testing"
 
 	loloha "github.com/loloha-ldp/loloha"
+	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
 )
 
 // registrationFor extracts a client's enrollment metadata the way a
-// deployment would: LOLOHA clients expose their hash seed, dBitFlipPM
-// clients their sampled buckets, UE/GRR chains need nothing.
+// deployment would: LOLOHA clients send their hash seed, dBitFlipPM
+// clients their sampled buckets, UE/GRR chains nothing.
 func registrationFor(t *testing.T, cl loloha.Client) loloha.Registration {
 	t.Helper()
-	switch c := cl.(type) {
-	case interface{ HashSeed() uint64 }:
-		return loloha.Registration{HashSeed: c.HashSeed()}
-	case interface{ Sampled() []int }:
-		return loloha.Registration{Sampled: c.Sampled()}
-	default:
-		return loloha.Registration{}
-	}
+	return cl.WireRegistration()
 }
 
 // TestStreamParityAllPathsAllFamilies: for every protocol family,
 // estimates from a Stream — any shard count, batch or per-report ingest —
-// are bit-identical to direct in-memory aggregation (Client.Report into
-// Aggregator.Add) at the same seed.
+// are bit-identical to a bare aggregator fed the same payloads one at a
+// time at the same seed.
 func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 	const k, n, rounds = 24, 600, 3
 	protos := map[string]func() (loloha.Protocol, error){
@@ -71,10 +65,8 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 				userIDs := make([]int, n)
 				payloads := make([][]byte, n)
 				for u, cl := range clients {
-					rep := cl.Report((u + round*5) % k)
-					direct.Add(u, rep)
 					userIDs[u] = u
-					payloads[u] = rep.AppendBinary(nil)
+					payloads[u] = tallyPayload(t, proto, direct, u, cl, (u+round*5)%k)
 				}
 				want := direct.EndRound()
 				for label, s := range streams {
@@ -105,6 +97,18 @@ func TestStreamParityAllPathsAllFamilies(t *testing.T) {
 	}
 }
 
+// tallyPayload emits cl's report of v, tallies it into agg through the
+// protocol's tallier — the generate→tally round trip every collection
+// layer takes — and returns the payload.
+func tallyPayload(t testing.TB, proto loloha.Protocol, agg loloha.Aggregator, u int, cl loloha.Client, v int) []byte {
+	t.Helper()
+	payload := cl.AppendReport(nil, v)
+	if err := longitudinal.TallyPayload(proto.WireTallier(), agg, u, payload, cl.WireRegistration()); err != nil {
+		t.Fatal(err)
+	}
+	return payload
+}
+
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false
@@ -118,9 +122,9 @@ func equalFloats(a, b []float64) bool {
 }
 
 // TestStreamCohortMatchesLegacyCohort: a sharded Stream cohort (WithCohort)
-// matches the plain cohort loop — the same n clients, each reporting
-// through Client.Report into one bare aggregator — in estimates and in
-// every client's privacy ledger.
+// matches the plain cohort loop — the same n clients, each report
+// tallied into one bare aggregator — in estimates and in every client's
+// privacy ledger.
 func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 	const k, n, seed = 20, 500, 9
 	proto, err := loloha.NewOLOLOHA(k, 2, 1)
@@ -145,7 +149,7 @@ func TestStreamCohortMatchesLegacyCohort(t *testing.T) {
 			values[u] = (u*3 + round*11) % k
 		}
 		for u, cl := range legacy {
-			agg.Add(u, cl.Report(values[u]))
+			tallyPayload(t, proto, agg, u, cl, values[u])
 		}
 		want := agg.EndRound()
 		res, err := stream.Collect(values)
@@ -184,7 +188,7 @@ func TestStreamMixesWireAndCohortReports(t *testing.T) {
 	if err := stream.Enroll(10_000, registrationFor(t, wire)); err != nil {
 		t.Fatal(err)
 	}
-	if err := stream.Ingest(10_000, wire.Report(2).AppendBinary(nil)); err != nil {
+	if err := stream.Ingest(10_000, wire.AppendReport(nil, 2)); err != nil {
 		t.Fatal(err)
 	}
 	res, err := stream.Collect(make([]int, n))
@@ -198,10 +202,10 @@ func TestStreamMixesWireAndCohortReports(t *testing.T) {
 	if err := stream.Enroll(n-1, registrationFor(t, wire)); err == nil {
 		t.Fatal("wire enrollment under a cohort client ID accepted")
 	}
-	if err := stream.Ingest(n-1, wire.Report(1).AppendBinary(nil)); err == nil {
+	if err := stream.Ingest(n-1, wire.AppendReport(nil, 1)); err == nil {
 		t.Fatal("wire report under a cohort client ID accepted")
 	}
-	if err := stream.IngestBatch([]int{0}, [][]byte{wire.Report(1).AppendBinary(nil)}); err == nil {
+	if err := stream.IngestBatch([]int{0}, [][]byte{wire.AppendReport(nil, 1)}); err == nil {
 		t.Fatal("batched wire report under a cohort client ID accepted")
 	}
 }
@@ -313,7 +317,7 @@ func TestStreamBatchErrors(t *testing.T) {
 	if err := stream.Enroll(0, registrationFor(t, good)); err != nil {
 		t.Fatal(err)
 	}
-	payload := good.Report(3).AppendBinary(nil)
+	payload := good.AppendReport(nil, 3)
 	err = stream.IngestBatch(
 		[]int{0, 99, 0, 0},
 		[][]byte{payload, payload, {}, payload},
@@ -409,7 +413,7 @@ func TestStreamConcurrentEnrollIngestSubscribe(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					payload := clients[u].Report(u % k).AppendBinary(nil)
+					payload := clients[u].AppendReport(nil, u%k)
 					if u%2 == 0 {
 						if err := stream.Ingest(u, payload); err != nil {
 							t.Error(err)
@@ -528,8 +532,8 @@ func FuzzStreamIngestBatch(f *testing.F) {
 			}
 			errs = joinedErrors(stream.IngestBatch(ids, payloads))
 		case 2:
-			stride, _ := loloha.ColumnarStrideOf(proto)
-			w, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+			stride := proto.WireTallier().PayloadStride()
+			w, err := loloha.NewColumnarWriter(proto.Spec().Hash(), stride)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -558,7 +562,7 @@ func FuzzStreamIngestBatch(f *testing.F) {
 		// enroll and report into the next round.
 		const genuine = 16
 		for u := 2; u < 2+genuine; u++ {
-			cl := proto.NewClient(uint64(u)).(loloha.AppendReporter)
+			cl := proto.NewClient(uint64(u))
 			if err := stream.Enroll(u, cl.WireRegistration()); err != nil {
 				t.Fatal(err)
 			}

@@ -1,8 +1,8 @@
-// Tests for tally-direct ingestion: the ColumnarTallier path must be
-// bit-identical to the in-memory reference (Client.Report into
-// Aggregator.Add) for every protocol family and shard count, it must
-// reject exactly the payloads the family's wire decoder rejects, hostile
-// enrollments must fail cleanly instead of panicking, and the
+// Tests for tally-direct ingestion: the Stream's ingestion paths must be
+// bit-identical to a bare aggregator fed the same payloads for every
+// protocol family and shard count, the tallier must reject exactly the
+// payloads the family's wire decoder rejects, hostile enrollments must
+// fail cleanly instead of panicking, and the
 // steady-state wire hot path must not allocate — testing.AllocsPerRun
 // pins Ingest at 0 allocs/report and IngestBatch at 0 allocs/batch so
 // regressions fail loudly instead of showing up as GC pressure under
@@ -67,8 +67,8 @@ func decodeReport(proto loloha.Protocol, payload []byte, reg loloha.Registration
 // TestTallyDirectMatchesDecoderPath is the acceptance gate of tally-direct
 // ingestion: for every protocol family × shard count, a stream fed wire
 // payloads produces estimates bit-identical to a bare aggregator fed the
-// boxed reports those payloads encode (Client.Report → Aggregator.Add),
-// through both per-report and batch ingestion.
+// same payloads one at a time, through both per-report and batch
+// ingestion, and every payload decodes under the family's wire decoder.
 func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 	const k, n, rounds = 24, 400, 3
 	for name, proto := range tallyProtocols(t, k) {
@@ -90,10 +90,11 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 					userIDs := make([]int, n)
 					payloads := make([][]byte, n)
 					for u, cl := range clients {
-						rep := cl.Report((u + round*7) % k)
-						ref.Add(u, rep)
 						userIDs[u] = u
-						payloads[u] = rep.AppendBinary(nil)
+						payloads[u] = tallyPayload(t, proto, ref, u, cl, (u+round*7)%k)
+						if err := decodeReport(proto, payloads[u], cl.WireRegistration()); err != nil {
+							t.Fatalf("round %d user %d: %v", round, u, err)
+						}
 					}
 					// Odd rounds batch, even rounds go report by report, so
 					// both entry points are exercised.
@@ -113,7 +114,7 @@ func TestTallyDirectMatchesDecoderPath(t *testing.T) {
 						t.Fatalf("round %d: %d reports, want %d", round, got.Reports, n)
 					}
 					if !equalFloats(got.Raw, ref.EndRound()) {
-						t.Fatalf("round %d: tally-direct estimates diverged from the Report/Add reference", round)
+						t.Fatalf("round %d: stream estimates diverged from the bare-aggregator reference", round)
 					}
 				}
 			})
@@ -138,7 +139,7 @@ func TestTallyDirectRejectsWhatDecoderRejects(t *testing.T) {
 			if err := tally.Enroll(0, reg); err != nil {
 				t.Fatal(err)
 			}
-			good := cl.Report(3).AppendBinary(nil)
+			good := cl.AppendReport(nil, 3)
 			bad := map[string][]byte{
 				"empty":     {},
 				"truncated": good[:len(good)-1],
@@ -177,7 +178,7 @@ func TestHostileDBitEnrollment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stride, _ := loloha.ColumnarStrideOf(proto)
+	stride := proto.WireTallier().PayloadStride()
 	cell := make([]byte, stride)
 	cell[0] = 0xFF // every sampled slot set: every bucket is touched
 	for _, hostile := range [][]int{{0, 1, 999}, {0, 1, 2, 999}, {5, -1, 2}, {1}} {
@@ -196,7 +197,7 @@ func TestHostileDBitEnrollment(t *testing.T) {
 				return s.IngestBatch([]int{7}, [][]byte{cell})
 			},
 			"IngestColumnar": func(s *loloha.Stream) error {
-				w, err := loloha.NewColumnarWriter(loloha.SpecHashOf(proto), stride)
+				w, err := loloha.NewColumnarWriter(proto.Spec().Hash(), stride)
 				if err != nil {
 					return err
 				}
@@ -226,7 +227,7 @@ func TestHostileDBitEnrollment(t *testing.T) {
 					t.Fatalf("hostile enrollment %v: err = %v, want a sampled-bucket rejection", hostile, err)
 				}
 				// The (single) shard still enrolls and tallies.
-				cl := proto.NewClient(1).(loloha.AppendReporter)
+				cl := proto.NewClient(1)
 				if err := s.Enroll(8, cl.WireRegistration()); err != nil {
 					t.Fatal(err)
 				}
@@ -301,7 +302,7 @@ func TestIngestSteadyStateZeroAllocs(t *testing.T) {
 				if err := stream.Enroll(u, registrationFor(t, cl)); err != nil {
 					t.Fatal(err)
 				}
-				payloads[u] = cl.Report(u % k).AppendBinary(nil)
+				payloads[u] = cl.AppendReport(nil, u%k)
 			}
 			// Warm-up round: first-sight work (the LOLOHA per-user hash
 			// table) is enrollment-time cost, not steady state.
@@ -351,7 +352,7 @@ func TestIngestBatchScratchReuse(t *testing.T) {
 					t.Fatal(err)
 				}
 				ids[b][i] = u
-				payloads[b][i] = cl.Report(u % k).AppendBinary(nil)
+				payloads[b][i] = cl.AppendReport(nil, u%k)
 				u++
 			}
 		}
