@@ -27,8 +27,17 @@ func (p *histProto) K() int                { return p.k }
 func (p *histProto) SteadyReportBits() int { return 8 }
 
 func (p *histProto) NewClient(seed uint64) loloha.Client { return &histClient{k: p.k} }
-func (p *histProto) NewAggregator() loloha.Aggregator {
-	return &histAgg{k: p.k, Tally: loloha.NewTally(p.k)}
+func (p *histProto) NewAggregator() loloha.Aggregator    { return loloha.NewRound(p, p.k) }
+
+// Estimate implements loloha.Protocol: the empirical histogram.
+func (p *histProto) Estimate(counts []int64, n int) []float64 {
+	est := make([]float64, len(counts))
+	if n > 0 {
+		for v, c := range counts {
+			est[v] = float64(c) / float64(n)
+		}
+	}
+	return est
 }
 
 // Spec implements loloha.Protocol.
@@ -46,14 +55,14 @@ func (c *histClient) WireRegistration() loloha.Registration { return loloha.Regi
 func (c *histClient) Charge(v int)                          {}
 func (c *histClient) PrivacySpent() float64                 { return math.Inf(1) } // no privacy at all
 
-// histTallier tallies one-byte payloads into a histAgg.
+// histTallier tallies one-byte payloads into a histProto round.
 type histTallier struct{ k int }
 
 func (histTallier) PayloadStride() int { return 1 }
 
 func (t histTallier) TallyCell(agg loloha.Aggregator, _ int, cell []byte, _ loloha.Registration) error {
-	a, ok := agg.(*histAgg)
-	if !ok {
+	a, ok := agg.(*loloha.Round)
+	if !ok || a.EstimateDomain() != t.k {
 		return fmt.Errorf("ext-hist: cannot tally into %T", agg)
 	}
 	v := int(cell[0])
@@ -63,28 +72,6 @@ func (t histTallier) TallyCell(agg loloha.Aggregator, _ int, cell []byte, _ lolo
 	a.AddIndex(v)
 	a.N++
 	return nil
-}
-
-// histAgg embeds the library's round state, which brings the snapshot
-// half of the contract (ExportTally/ImportTally) and the body of Merge
-// (Absorb) with it.
-type histAgg struct {
-	loloha.Tally
-	k int
-}
-
-func (a *histAgg) Fork() loloha.Aggregator       { return &histAgg{k: a.k, Tally: loloha.NewTally(a.k)} }
-func (a *histAgg) Merge(other loloha.Aggregator) { a.Absorb(&other.(*histAgg).Tally) }
-func (a *histAgg) EstimateDomain() int           { return a.k }
-func (a *histAgg) EndRound() []float64 {
-	defer a.Reset()
-	est := make([]float64, a.k)
-	if a.N > 0 {
-		for v, c := range a.Counts() {
-			est[v] = float64(c) / float64(a.N)
-		}
-	}
-	return est
 }
 
 func runExternalProtocol(t *testing.T, proto loloha.Protocol, opts ...loloha.StreamOption) {

@@ -292,9 +292,10 @@ func DecodeReport(src []byte, g int, hashSeed uint64) (Report, []byte, error) {
 // the user and (optionally) caches it as bit-planes: plane b holds bit b of
 // H_u(v) at position v, so the support row {v : H_u(v) = x} of a report x
 // is the AND over planes of plane b XNOR bit b of x — k/64 words per plane
-// instead of k hash evaluations or byte compares.
+// instead of k hash evaluations or byte compares. The round lifecycle is
+// the embedded longitudinal.Round; the hash planes are all it adds.
 type Aggregator struct {
-	longitudinal.Tally
+	longitudinal.Round
 	proto    *Protocol
 	hashBits int                     // ⌈log₂ g⌉: bit-planes per user
 	hashes   map[int]hashfamily.Hash // userID -> H_u, without the cache
@@ -311,7 +312,7 @@ func (p *Protocol) NewAggregator() longitudinal.Aggregator {
 // NewServer returns an Aggregator with its concrete type.
 func (p *Protocol) NewServer() *Aggregator {
 	a := &Aggregator{
-		Tally:    longitudinal.NewTally(p.k),
+		Round:    *longitudinal.NewRound(p, p.k),
 		proto:    p,
 		hashBits: p.SteadyReportBits(),
 		row:      make([]uint64, longitudinal.RowWords(p.k)),
@@ -385,28 +386,7 @@ func (a *Aggregator) addPlanes(userID int, seed uint64) int32 {
 	return slot
 }
 
-// Fork implements longitudinal.Aggregator.
-func (a *Aggregator) Fork() longitudinal.Aggregator {
-	return a.proto.NewServer()
+// Estimate implements longitudinal.Protocol: Eq. (3) with q′₁ = 1/g.
+func (p *Protocol) Estimate(counts []int64, n int) []float64 {
+	return p.params.EstimateAllL(counts, n)
 }
-
-// Merge implements longitudinal.Aggregator: it folds other's
-// round tallies into the receiver and resets them. other keeps its
-// per-user hash registrations (they are keyed by the users the fork
-// tallies, which stay with the fork across rounds).
-func (a *Aggregator) Merge(other longitudinal.Aggregator) {
-	o, ok := other.(*Aggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("core: LOLOHA aggregator cannot merge %T", other))
-	}
-	a.Absorb(&o.Tally)
-}
-
-// EndRound implements longitudinal.Aggregator: Eq. (3) with q′₁ = 1/g.
-func (a *Aggregator) EndRound() []float64 {
-	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts(), a.N)
-}
-
-// EstimateDomain implements longitudinal.Aggregator.
-func (a *Aggregator) EstimateDomain() int { return a.proto.k }

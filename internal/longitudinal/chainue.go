@@ -305,37 +305,18 @@ func (cl *chainUEClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *chainUEClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-// chainUEAggregator tallies one round of UE reports.
+// chainUEAggregator is a UE round plus TallyCell's payload-word scratch.
 type chainUEAggregator struct {
-	Tally
-	proto *ChainUE
-	row   []uint64 // TallyCell's payload words
+	Round
+	row []uint64
 }
 
 // NewAggregator implements Protocol.
 func (c *ChainUE) NewAggregator() Aggregator {
-	return &chainUEAggregator{proto: c, Tally: NewTally(c.k), row: make([]uint64, RowWords(c.k))}
+	return &chainUEAggregator{Round: *NewRound(c, c.k), row: make([]uint64, RowWords(c.k))}
 }
 
-// Fork implements Aggregator.
-func (a *chainUEAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
+// Estimate implements Protocol: Eq. (3).
+func (c *ChainUE) Estimate(counts []int64, n int) []float64 {
+	return c.params.EstimateAllL(counts, n)
 }
-
-// Merge implements Aggregator.
-func (a *chainUEAggregator) Merge(other Aggregator) {
-	o, ok := other.(*chainUEAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: %s aggregator cannot merge %T", a.proto.name, other))
-	}
-	a.Absorb(&o.Tally)
-}
-
-// EndRound implements Aggregator.
-func (a *chainUEAggregator) EndRound() []float64 {
-	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts(), a.N)
-}
-
-// EstimateDomain implements Aggregator.
-func (a *chainUEAggregator) EstimateDomain() int { return a.proto.k }

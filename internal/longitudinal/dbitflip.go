@@ -217,49 +217,24 @@ func (cl *dBitClient) memoStateOf(bucket int) int {
 // PrivacySpent implements Client.
 func (cl *dBitClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-type dBitAggregator struct {
-	Tally
-	proto *DBitFlipPM
-}
+// NewAggregator implements Protocol: one count per bucket.
+func (m *DBitFlipPM) NewAggregator() Aggregator { return NewRound(m, m.b) }
 
-// NewAggregator implements Protocol.
-func (m *DBitFlipPM) NewAggregator() Aggregator {
-	return &dBitAggregator{proto: m, Tally: NewTally(m.b)}
-}
-
-// Fork implements Aggregator.
-func (a *dBitAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
-}
-
-// Merge implements Aggregator.
-func (a *dBitAggregator) Merge(other Aggregator) {
-	o, ok := other.(*dBitAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: dBitFlipPM aggregator cannot merge %T", other))
-	}
-	a.Absorb(&o.Tally)
-}
-
-// EndRound implements Aggregator: Eq. (1) with n replaced by nd/b, since
-// each bucket is observed by ~nd/b users (§2.4.4). A round with zero
-// reports estimates zero everywhere.
-func (a *dBitAggregator) EndRound() []float64 {
-	defer a.Reset()
-	est := make([]float64, a.proto.b)
-	if a.N == 0 {
+// Estimate implements Protocol: Eq. (1) with n replaced by nd/b, since
+// each bucket is observed by ~nd/b users (§2.4.4). Estimates are per
+// bucket.
+func (m *DBitFlipPM) Estimate(counts []int64, n int) []float64 {
+	est := make([]float64, len(counts))
+	if n == 0 {
 		return est
 	}
-	nEff := float64(a.N) * float64(a.proto.d) / float64(a.proto.b)
-	den := nEff * (a.proto.p - a.proto.q)
-	for j, c := range a.Counts() {
-		est[j] = (float64(c) - nEff*a.proto.q) / den
+	nEff := float64(n) * float64(m.d) / float64(m.b)
+	den := nEff * (m.p - m.q)
+	for j, c := range counts {
+		est[j] = (float64(c) - nEff*m.q) / den
 	}
 	return est
 }
-
-// EstimateDomain implements Aggregator: estimates are per bucket.
-func (a *dBitAggregator) EstimateDomain() int { return a.proto.b }
 
 func minInt(a, b int) int {
 	if a < b {

@@ -132,35 +132,10 @@ func (cl *lgrrClient) Charge(v int) {
 // PrivacySpent implements Client.
 func (cl *lgrrClient) PrivacySpent() float64 { return cl.ledger.Spent() }
 
-type lgrrAggregator struct {
-	Tally
-	proto *LGRR
-}
-
 // NewAggregator implements Protocol.
-func (m *LGRR) NewAggregator() Aggregator {
-	return &lgrrAggregator{proto: m, Tally: NewTally(m.k)}
-}
+func (m *LGRR) NewAggregator() Aggregator { return NewRound(m, m.k) }
 
-// Fork implements Aggregator.
-func (a *lgrrAggregator) Fork() Aggregator {
-	return a.proto.NewAggregator()
+// Estimate implements Protocol: Eq. (3).
+func (m *LGRR) Estimate(counts []int64, n int) []float64 {
+	return m.params.EstimateAllL(counts, n)
 }
-
-// Merge implements Aggregator.
-func (a *lgrrAggregator) Merge(other Aggregator) {
-	o, ok := other.(*lgrrAggregator)
-	if !ok || o.proto != a.proto {
-		panic(fmt.Sprintf("longitudinal: L-GRR aggregator cannot merge %T", other))
-	}
-	a.Absorb(&o.Tally)
-}
-
-// EndRound implements Aggregator.
-func (a *lgrrAggregator) EndRound() []float64 {
-	defer a.Reset()
-	return a.proto.params.EstimateAllL(a.Counts(), a.N)
-}
-
-// EstimateDomain implements Aggregator.
-func (a *lgrrAggregator) EstimateDomain() int { return a.proto.k }

@@ -49,8 +49,9 @@ type Client interface {
 
 // Aggregator is the server-side state (Algorithm 2): the support counts
 // of one collection round, which the protocol's ColumnarTallier fills,
-// and the round's frequency estimates. Tally, embedded by every
-// aggregator, supplies ExportTally and ImportTally.
+// and the round's frequency estimates. Every aggregator is a Round or
+// embeds one, which supplies all of its methods; the unexported round
+// method lets the compiler check that.
 type Aggregator interface {
 	// EndRound finalizes the round and returns its frequency estimates
 	// over the estimation domain.
@@ -66,8 +67,8 @@ type Aggregator interface {
 	// Merge folds other's current-round tallies into the receiver and
 	// resets other's round tallies (long-lived registration caches stay
 	// with other, so a fork remains cheap to reuse across rounds). other
-	// must come from Fork on the receiver or on a sibling; tallies are
-	// integer counts, so any merge order yields bit-identical estimates.
+	// must come from the receiver's protocol; tallies are integer counts,
+	// so any merge order yields bit-identical estimates.
 	Merge(other Aggregator)
 	// ExportTally appends the aggregator's current-round support counts to
 	// dst and returns the extended slice plus the round's report count n.
@@ -80,6 +81,8 @@ type Aggregator interface {
 	// length); a mismatch imports nothing and returns an error. counts is
 	// not retained or mutated.
 	ImportTally(counts []int64, n int) error
+
+	round() *Round
 }
 
 // Protocol binds the two sides together with the protocol's metadata.
@@ -105,6 +108,11 @@ type Protocol interface {
 	// WireTallier returns the tallier for this protocol's steady-state
 	// payloads: the only way a payload reaches an aggregator.
 	WireTallier() ColumnarTallier
+	// Estimate returns the frequency estimates of a round from its
+	// support counts and report count n alone — a pure function, so a
+	// round estimates bit-identically wherever its counts were summed.
+	// A round with n = 0 estimates zero everywhere.
+	Estimate(counts []int64, n int) []float64
 }
 
 // ---------------------------------------------------------------------------

@@ -325,55 +325,6 @@ func TestLGRRReportMatchesAppendReport(t *testing.T) {
 	}
 }
 
-// TestCollectorTallyDirectMatchesAddPath: a sharded collector must
-// produce bit-identical estimates to a serial loop that emits each report
-// and tallies it into one bare aggregator, per family and shard count —
-// the gate for simulation.Replay/RunMSE and Stream.Collect.
-func TestCollectorTallyDirectMatchesAddPath(t *testing.T) {
-	const k, n, rounds = 24, 300, 4
-	protos := map[string]Protocol{}
-	if p, err := NewRAPPOR(k, 2, 1); err == nil {
-		protos["RAPPOR"] = p
-	}
-	if p, err := NewLGRR(k, 2, 1); err == nil {
-		protos["L-GRR"] = p
-	}
-	if p, err := NewDBitFlipPM(k, 8, 3, 2); err == nil {
-		protos["dBitFlipPM"] = p
-	}
-	for name, proto := range protos {
-		for _, shards := range []int{1, 4} {
-			t.Run(fmt.Sprintf("%s/shards=%d", name, shards), func(t *testing.T) {
-				mkClients := func() []Client {
-					cls := make([]Client, n)
-					for u := range cls {
-						cls[u] = proto.NewClient(randsrc.Derive(7, uint64(u)))
-					}
-					return cls
-				}
-				plain := proto.NewAggregator()
-				wired := NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), n, shards)
-				clP, clW := mkClients(), mkClients()
-				values := make([]int, n)
-				for round := 0; round < rounds; round++ {
-					for u := range values {
-						values[u] = (u + round*3) % k
-						mustTally(t, proto, plain, u, clP[u].AppendReport(nil, values[u]), clP[u].WireRegistration())
-					}
-					estP := plain.EndRound()
-					estW, err := wired.Collect(clW, values)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if !equalFloats(estP, estW) {
-						t.Fatalf("round %d: collector estimates diverged from the serial path", round)
-					}
-				}
-			})
-		}
-	}
-}
-
 func equalFloats(a, b []float64) bool {
 	if len(a) != len(b) {
 		return false

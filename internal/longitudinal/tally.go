@@ -9,11 +9,12 @@ import (
 
 // The server side of every protocol in this repository is a support-count
 // vector plus a closed-form estimate (Algorithm 2 with Eq. (3)). Tally is
-// that round state, written once and embedded in every aggregator; a
-// ColumnarTallier is the one contract that moves a payload's bits into
-// it. Payloads are tallied in place — views over the payload bytes, no
-// intermediate report — so steady-state wire ingestion performs zero
-// allocations per report.
+// that round state and Round its lifecycle, both written once and
+// embedded in every aggregator; a protocol's pure Estimate turns the
+// counts into frequencies, and a ColumnarTallier is the one contract that
+// moves a payload's bits into them. Payloads are tallied in place — views
+// over the payload bytes, no intermediate report — so steady-state wire
+// ingestion performs zero allocations per report.
 
 // Tally is an aggregator's open-round state: integer support counts plus
 // the number of reports behind them. EndRound estimates from these two
@@ -163,7 +164,7 @@ func (t *Tally) ImportTally(counts []int64, n int) error {
 }
 
 // Absorb moves o's round into t — adding its counts and zeroing o — which
-// is the whole round-state transfer of every Aggregator.Merge.
+// is the whole round-state transfer of Round.Merge.
 // o must have t's tally length.
 func (t *Tally) Absorb(o *Tally) {
 	for i, c := range o.Counts() {
@@ -173,12 +174,53 @@ func (t *Tally) Absorb(o *Tally) {
 	o.Reset()
 }
 
-// Reset zeroes the round; every EndRound runs it after estimating.
+// Reset zeroes the round; EndRound runs it after estimating.
 func (t *Tally) Reset() {
 	clear(t.counts)
 	clear(t.planes)
 	t.pending = 0
 	t.N = 0
+}
+
+// Round is an Aggregator: a Tally plus the protocol that estimates from
+// it. The round lifecycle — EndRound, EstimateDomain, Fork and Merge — is
+// written once, here. A family whose tallier needs no scratch state
+// returns a *Round from NewAggregator; one that does (a support-row
+// buffer, per-user hash planes) embeds Round in its own aggregator type.
+type Round struct {
+	Tally
+	proto Protocol
+}
+
+// NewRound returns the empty round of one of proto's aggregators, over a
+// tally of k positions (the length of proto's Estimate input).
+func NewRound(proto Protocol, k int) *Round {
+	return &Round{Tally: NewTally(k), proto: proto}
+}
+
+func (r *Round) round() *Round { return r }
+
+// EndRound implements Aggregator: the protocol's Estimate of the counts,
+// then Reset.
+func (r *Round) EndRound() []float64 {
+	defer r.Reset()
+	return r.proto.Estimate(r.Counts(), r.N)
+}
+
+// EstimateDomain implements Aggregator: the tally length.
+func (r *Round) EstimateDomain() int { return len(r.counts) }
+
+// Fork implements Aggregator.
+func (r *Round) Fork() Aggregator { return r.proto.NewAggregator() }
+
+// Merge implements Aggregator. other must be an aggregator of the same
+// protocol value; anything else panics.
+func (r *Round) Merge(other Aggregator) {
+	o := other.round()
+	if o.proto != r.proto {
+		panic(fmt.Sprintf("longitudinal: %s aggregator cannot merge %T", r.proto.Name(), other))
+	}
+	r.Absorb(&o.Tally)
 }
 
 // ColumnarTallier tallies one protocol's steady-state payloads straight
@@ -213,14 +255,14 @@ func TallyPayload(ct ColumnarTallier, agg Aggregator, userID int, payload []byte
 // Chained-UE tallier.
 
 // WireTallier implements Protocol.
-func (c *ChainUE) WireTallier() ColumnarTallier { return ueWireTallier{k: c.k} }
+func (c *ChainUE) WireTallier() ColumnarTallier { return ueWireTallier{proto: c} }
 
-type ueWireTallier struct{ k int }
+type ueWireTallier struct{ proto *ChainUE }
 
 // PayloadStride implements ColumnarTallier.
 //
 //loloha:noalloc
-func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.k) }
+func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.proto.k) }
 
 // TallyCell implements ColumnarTallier: after the trailing-bit check the
 // payload bytes load as the words of one support row.
@@ -228,10 +270,10 @@ func (t ueWireTallier) PayloadStride() int { return freqoracle.UEPayloadBytes(t.
 //loloha:noalloc
 func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
 	a, ok := agg.(*chainUEAggregator)
-	if !ok || a.proto.k != t.k {
+	if !ok || a.proto != t.proto {
 		return fmt.Errorf("longitudinal: chained-UE tallier cannot tally into %T", agg)
 	}
-	if err := freqoracle.CheckUEPayload(cell, t.k); err != nil {
+	if err := freqoracle.CheckUEPayload(cell, t.proto.k); err != nil {
 		return err
 	}
 	freqoracle.UEPayloadWords(a.row, cell)
@@ -244,25 +286,25 @@ func (t ueWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registrat
 // L-GRR tallier.
 
 // WireTallier implements Protocol.
-func (m *LGRR) WireTallier() ColumnarTallier { return grrWireTallier{k: m.k} }
+func (m *LGRR) WireTallier() ColumnarTallier { return grrWireTallier{proto: m} }
 
-type grrWireTallier struct{ k int }
+type grrWireTallier struct{ proto *LGRR }
 
 // PayloadStride implements ColumnarTallier.
 //
 //loloha:noalloc
-func (t grrWireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.k) }
+func (t grrWireTallier) PayloadStride() int { return freqoracle.GRRPayloadBytes(t.proto.k) }
 
 // TallyCell implements ColumnarTallier: parse the scalar value (with its
 // range check) and bump its count.
 //
 //loloha:noalloc
 func (t grrWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, _ Registration) error {
-	a, ok := agg.(*lgrrAggregator)
-	if !ok || a.proto.k != t.k {
+	a, ok := agg.(*Round)
+	if !ok || a.proto != t.proto {
 		return fmt.Errorf("longitudinal: L-GRR tallier cannot tally into %T", agg)
 	}
-	x, err := freqoracle.ParseGRRPayload(cell, t.k)
+	x, err := freqoracle.ParseGRRPayload(cell, t.proto.k)
 	if err != nil {
 		return err
 	}
@@ -292,7 +334,7 @@ func (t dbitWireTallier) PayloadStride() int { return (t.proto.d + 7) / 8 }
 //
 //loloha:noalloc
 func (t dbitWireTallier) TallyCell(agg Aggregator, _ int, cell []byte, reg Registration) error {
-	a, ok := agg.(*dBitAggregator)
+	a, ok := agg.(*Round)
 	if !ok || a.proto != t.proto {
 		return fmt.Errorf("longitudinal: dBitFlipPM tallier cannot tally into %T", agg)
 	}

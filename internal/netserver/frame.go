@@ -55,17 +55,18 @@ const (
 	// protocol error (the producer's encoder is misconfigured) and drops
 	// the connection; per-report rejections only bump counters.
 	FrameColumnar = 0x04
-	// FrameMerge carries one LSS1 snapshot image (persist.Append bytes) of
-	// merged tallies from a collector-tree leaf. Only a root daemon
+	// FrameMerge carries one LME1 merge envelope (persist.AppendEnvelope
+	// bytes) of a collector-tree leaf's round tallies. Only a root daemon
 	// (Config.AcceptMerges) accepts it; elsewhere it is an unknown frame.
-	// A body that fails to decode or whose spec hash disagrees with the
-	// server's protocol drops the connection, exactly like a mismatched
-	// columnar batch: the producer is misconfigured, not the data.
+	// A body that is not a well-formed envelope or whose spec hash
+	// disagrees with the server's protocol drops the connection, exactly
+	// like a mismatched columnar batch: the producer is misconfigured, not
+	// the data.
 	FrameMerge = 0x05
 	// FrameAck is the server's reply to FrameFlush.
 	FrameAck = 0x80
-	// FrameMergeAck is the server's immediate reply to a merge frame whose
-	// body is an LME1 envelope: a per-envelope acknowledgement carrying
+	// FrameMergeAck is the server's immediate reply to a merge frame: a
+	// per-envelope acknowledgement carrying
 	// the envelope's sequence number, the reports merged, and whether the
 	// envelope was deduplicated. Unlike the cumulative flush ack, it names
 	// the exact envelope it confirms, so a leaf that redials (resetting
@@ -146,15 +147,15 @@ func AppendColumnarFrame(dst []byte, batch []byte) []byte {
 	return append(dst, batch...)
 }
 
-// AppendMergeFrame appends a merge frame to dst. snap is an encoded LSS1
-// snapshot image (persist.Append bytes); merged reports are confirmed
-// through the ack's Reports counter like ordinary report frames.
+// AppendMergeFrame appends a merge frame to dst. env is an encoded LME1
+// merge envelope (persist.AppendEnvelope bytes); the root confirms it
+// with a FrameMergeAck.
 //
 //loloha:noalloc
-func AppendMergeFrame(dst []byte, snap []byte) []byte {
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(snap)))
+func AppendMergeFrame(dst []byte, env []byte) []byte {
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(env)))
 	dst = append(dst, FrameMerge)
-	return append(dst, snap...)
+	return append(dst, env...)
 }
 
 // AppendFlushFrame appends a flush frame to dst.
@@ -360,75 +361,64 @@ func (c *tcpConn) handleColumnar(body []byte) bool {
 	return true
 }
 
-// handleMerge applies one merge frame: decode the LSS1 image and add its
-// tallies into the stream's open round. Returns false on a protocol
-// error — a daemon that is not a root (Config.AcceptMerges unset), a body
-// that fails structural decoding, or a snapshot whose spec hash disagrees
-// with the server's protocol (server.ErrSnapshotMismatch): all mean the
-// sender is misconfigured, which, like framing corruption, is not
-// survivable. Merged reports ride the connection's reports counter, so a
-// leaf confirms delivery through the ordinary flush/ack round trip.
+// handleMerge applies one merge frame (Server.applyMerge) and replies
+// with its per-envelope ack. Returns false on a protocol error — a daemon
+// that is not a root (Config.AcceptMerges unset), or a body applyMerge
+// refuses: both mean the sender is misconfigured, which, like framing
+// corruption, is not survivable. Merged reports ride the connection's
+// reports counter.
 func (c *tcpConn) handleMerge(body []byte) bool {
 	if !c.srv.acceptMerges {
 		return false
 	}
-	if persist.IsEnvelope(body) {
-		return c.handleMergeEnvelope(body)
-	}
-	snap, err := persist.Decode(body)
+	ack, err := c.srv.applyMerge(body)
 	if err != nil {
-		c.srv.mergeBad.Add(1)
 		return false
 	}
-	n, err := c.srv.stream.MergeRemote(snap)
-	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
-	}
-	c.reports += uint64(n)
-	c.srv.mergeFrames.Add(1)
-	c.srv.mergeReports.Add(uint64(n))
-	return true
+	c.reports += ack.Merged
+	return c.writeMergeAck(ack)
 }
 
-// handleMergeEnvelope applies one LME1 merge envelope and replies with a
-// per-envelope ack — the exactly-once half of the merge path. A duplicate
-// (seq at or below the leaf's applied watermark) is acknowledged without
-// decoding its payload, let alone reapplying it, so a retry storm costs
-// the root one header parse per envelope. Malformed envelopes and spec
-// mismatches drop the connection like any other protocol error.
-func (c *tcpConn) handleMergeEnvelope(body []byte) bool {
+// applyMerge applies one merge body, an LME1 merge envelope, exactly
+// once, for either transport. A duplicate (seq at or below the leaf's
+// applied watermark) is acknowledged without decoding its payload, let
+// alone reapplying it, so a retry storm costs the root one header parse
+// per envelope. A body that is not a well-formed envelope (a raw LSS1
+// image included) or whose snapshot's spec hash disagrees with the
+// server's protocol (server.ErrSnapshotMismatch) applies nothing, bumps
+// the rejected-merge counter and returns the error.
+func (s *Server) applyMerge(body []byte) (MergeAck, error) {
 	h, err := persist.ParseEnvelopeHeader(body)
 	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
+		s.mergeBad.Add(1)
+		return MergeAck{}, err
 	}
-	if !c.srv.stream.ShouldApply(h.Leaf, h.Seq) {
-		c.srv.stream.RecordDuplicate(h.Leaf)
-		c.srv.mergeDup.Add(1)
-		return c.writeMergeAck(MergeAck{Seq: h.Seq, Status: MergeDuplicate})
+	dupAck := MergeAck{Seq: h.Seq, Status: MergeDuplicate}
+	if !s.stream.ShouldApply(h.Leaf, h.Seq) {
+		s.stream.RecordDuplicate(h.Leaf)
+		s.mergeDup.Add(1)
+		return dupAck, nil
 	}
 	env, err := persist.DecodeEnvelope(body)
 	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
+		s.mergeBad.Add(1)
+		return MergeAck{}, err
 	}
-	n, dup, err := c.srv.stream.MergeEnvelope(env)
+	n, dup, err := s.stream.MergeEnvelope(env)
 	if err != nil {
-		c.srv.mergeBad.Add(1)
-		return false
+		s.mergeBad.Add(1)
+		return MergeAck{}, err
 	}
 	if dup {
 		// ShouldApply raced another connection shipping the same envelope;
 		// MergeEnvelope's ledger check is the authoritative one.
-		c.srv.mergeDup.Add(1)
-		return c.writeMergeAck(MergeAck{Seq: h.Seq, Status: MergeDuplicate})
+		s.mergeDup.Add(1)
+		return dupAck, nil
 	}
-	c.reports += uint64(n)
-	c.srv.mergeFrames.Add(1)
-	c.srv.mergeReports.Add(uint64(n))
-	c.srv.noteLeafArrival(env.Leaf, n)
-	return c.writeMergeAck(MergeAck{Seq: h.Seq, Merged: uint64(n), Status: MergeApplied})
+	s.mergeFrames.Add(1)
+	s.mergeReports.Add(uint64(n))
+	s.noteLeafArrival(env.Leaf, n)
+	return MergeAck{Seq: h.Seq, Merged: uint64(n), Status: MergeApplied}, nil
 }
 
 // writeMergeAck replies to one envelope immediately (no flush needed):

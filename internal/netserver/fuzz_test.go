@@ -13,6 +13,7 @@ import (
 	"bufio"
 	"bytes"
 	"io"
+	"slices"
 	"testing"
 
 	"github.com/loloha-ldp/loloha/internal/core"
@@ -65,16 +66,18 @@ func FuzzFrameStream(f *testing.F) {
 
 // FuzzMergeFrame drives a collector root's connection loop with an
 // arbitrary merge-frame body. Like the other frame types the body is
-// attacker-controlled bytes reaching persist.Decode and MergeRemote
-// before any authentication: serve must terminate without panicking, and
-// a rejected body must drop the connection without tallying anything.
+// attacker-controlled bytes reaching persist.ParseEnvelopeHeader,
+// DecodeEnvelope and MergeEnvelope before any authentication: serve must
+// terminate without panicking, and a rejected body must drop the
+// connection without tallying anything.
 func FuzzMergeFrame(f *testing.F) {
 	proto, err := core.NewBinary(16, 2, 1)
 	if err != nil {
 		f.Fatal(err)
 	}
-	// Seeds: a matching tally-only snapshot (the leaf wire form), a
-	// full-state snapshot with a user table, a mismatched-spec image, and
+	// Seeds: envelopes around a matching tally-only snapshot (the leaf
+	// wire form) and around a full-state snapshot with a user table, a
+	// truncated envelope, an envelope with a flipped payload byte, and
 	// structured garbage.
 	leaf, err := server.NewStream(proto, server.WithShards(1))
 	if err != nil {
@@ -95,15 +98,26 @@ func FuzzMergeFrame(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	tallyOnly, err := persist.Append(nil, snap)
+	tallyOnly, err := persist.AppendEnvelope(nil, &persist.Envelope{Leaf: "leaf", Round: 0, Seq: 1, Snap: snap})
+	if err != nil {
+		f.Fatal(err)
+	}
+	fullSnap, err := persist.Decode(full.Bytes())
+	if err != nil {
+		f.Fatal(err)
+	}
+	fullEnv, err := persist.AppendEnvelope(nil, &persist.Envelope{Leaf: "leaf", Round: 0, Seq: 2, Snap: fullSnap})
 	if err != nil {
 		f.Fatal(err)
 	}
 	leaf.Close()
+	flipped := slices.Clone(tallyOnly)
+	flipped[len(flipped)/2] ^= 0x10
 	f.Add(tallyOnly)
-	f.Add(full.Bytes())
+	f.Add(fullEnv)
 	f.Add(tallyOnly[:len(tallyOnly)/2])
-	f.Add([]byte("LSS1 but not really"))
+	f.Add(flipped)
+	f.Add([]byte("LME1 but not really"))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -11,7 +11,6 @@ import (
 
 	"github.com/loloha-ldp/loloha/internal/heavyhitter"
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
-	"github.com/loloha-ldp/loloha/internal/persist"
 	"github.com/loloha-ldp/loloha/internal/server"
 )
 
@@ -21,7 +20,7 @@ import (
 //
 //	POST /v1/enroll       {"user_id":7,"hash_seed":9,"sampled":[1,2]}
 //	POST /v1/reports      binary batch body → {"received":N,"rejected":M}
-//	POST /v1/merge        binary LSS1 snapshot body → {"merged":N} (collector roots only)
+//	POST /v1/merge        binary LME1 envelope body → {"seq":S,"merged":N,"duplicate":D} (collector roots only)
 //	POST /v1/round/close  → RoundResult of the closed round
 //	GET  /v1/rounds/{t}   → RoundResult of round t
 //	GET  /v1/status       → daemon + stream counters and the protocol spec
@@ -282,9 +281,10 @@ func countJoined(err error) int {
 }
 
 // handleMergeHTTP is the HTTP transport for collector-tree merges: the
-// body is one LME1 merge envelope (exactly-once, per-envelope ack with
-// dedup) or, legacy, one raw LSS1 snapshot image (cumulative, no dedup).
-// Registered only when AcceptMerges is set.
+// body is one LME1 merge envelope, applied exactly as on TCP
+// (applyMerge), and the per-envelope ack answers as JSON:
+// {"seq":..,"merged":..,"duplicate":..}. A body applyMerge refuses is a
+// 400. Registered only when AcceptMerges is set.
 func (s *Server) handleMergeHTTP(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, int64(s.maxBatch)))
 	if err != nil {
@@ -292,70 +292,14 @@ func (s *Server) handleMergeHTTP(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Errorf("netserver: reading merge body: %w", err))
 		return
 	}
-	if persist.IsEnvelope(body) {
-		s.handleMergeEnvelopeHTTP(w, body)
-		return
-	}
-	snap, err := persist.Decode(body)
+	ack, err := s.applyMerge(body)
 	if err != nil {
-		s.mergeBad.Add(1)
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	n, err := s.stream.MergeRemote(snap)
-	if err != nil {
-		// Spec mismatch or a mid-decode state error: like ErrColumnarMismatch
-		// on the report path, the whole payload is for another protocol
-		// configuration, so nothing was applied.
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	s.mergeFrames.Add(1)
-	s.mergeReports.Add(uint64(n))
-	writeJSON(w, http.StatusOK, map[string]int{"merged": n})
-}
-
-// handleMergeEnvelopeHTTP applies one LME1 envelope with the same
-// exactly-once semantics as the TCP path and answers the per-envelope
-// ack as JSON: {"seq":..,"merged":..,"duplicate":..}.
-func (s *Server) handleMergeEnvelopeHTTP(w http.ResponseWriter, body []byte) {
-	h, err := persist.ParseEnvelopeHeader(body)
-	if err != nil {
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	ackJSON := func(merged int, duplicate bool) {
-		writeJSON(w, http.StatusOK, map[string]any{"seq": h.Seq, "merged": merged, "duplicate": duplicate})
-	}
-	if !s.stream.ShouldApply(h.Leaf, h.Seq) {
-		s.stream.RecordDuplicate(h.Leaf)
-		s.mergeDup.Add(1)
-		ackJSON(0, true)
-		return
-	}
-	env, err := persist.DecodeEnvelope(body)
-	if err != nil {
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	n, dup, err := s.stream.MergeEnvelope(env)
-	if err != nil {
-		s.mergeBad.Add(1)
-		writeError(w, http.StatusBadRequest, err)
-		return
-	}
-	if dup {
-		s.mergeDup.Add(1)
-		ackJSON(0, true)
-		return
-	}
-	s.mergeFrames.Add(1)
-	s.mergeReports.Add(uint64(n))
-	s.noteLeafArrival(env.Leaf, n)
-	ackJSON(n, false)
+	writeJSON(w, http.StatusOK, map[string]any{
+		"seq": ack.Seq, "merged": ack.Merged, "duplicate": ack.Status == MergeDuplicate,
+	})
 }
 
 func (s *Server) handleRoundClose(w http.ResponseWriter, r *http.Request) {

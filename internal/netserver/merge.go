@@ -15,9 +15,8 @@ import (
 	"github.com/loloha-ldp/loloha/internal/persist"
 )
 
-// ContentTypeEnvelope selects the LME1 merge-envelope body format on
-// POST /v1/merge; a raw LSS1 body (any other content type) still takes
-// the legacy cumulative path.
+// ContentTypeEnvelope is the content type of the LME1 merge envelope an
+// HTTPMergeClient posts to /v1/merge, the only body the endpoint takes.
 const ContentTypeEnvelope = "application/x-loloha-envelope"
 
 // MergeSender ships encoded LME1 merge envelopes to a collector-tree

@@ -8,7 +8,6 @@ package netserver
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
@@ -147,6 +146,8 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 		leafStreams[i] = newTestStream(t, proto)
 	}
 	clients := treeClients(t, proto, ref, leafStreams, n)
+	up := NewHTTPMergeClient(ts.URL, 5*time.Second)
+	defer up.Close()
 
 	for round := 0; round < rounds; round++ {
 		for u, cl := range clients {
@@ -160,30 +161,22 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 		}
 		refRes := ref.CloseRound()
 		merged := 0
-		for _, leaf := range leafStreams {
-			_, snap, err := leaf.CloseRoundExport()
+		for i, leaf := range leafStreams {
+			res, snap, err := leaf.CloseRoundExport()
 			if err != nil {
 				t.Fatal(err)
 			}
-			enc, err := persist.Append(nil, snap)
+			env, err := persist.AppendEnvelope(nil, &persist.Envelope{
+				Leaf: fmt.Sprintf("leaf-%d", i), Round: res.Round, Seq: uint64(round + 1), Snap: snap,
+			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			resp, err := http.Post(ts.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(enc))
-			if err != nil {
-				t.Fatal(err)
+			got, dup, err := up.Ship(env)
+			if err != nil || dup {
+				t.Fatalf("round %d leaf %d merge: dup=%v err=%v", round, i, dup, err)
 			}
-			var got struct {
-				Merged int `json:"merged"`
-			}
-			if err := json.NewDecoder(resp.Body).Decode(&got); err != nil {
-				t.Fatal(err)
-			}
-			resp.Body.Close()
-			if resp.StatusCode != http.StatusOK {
-				t.Fatalf("round %d merge POST: status %d", round, resp.StatusCode)
-			}
-			merged += got.Merged
+			merged += got
 		}
 		if merged != n {
 			t.Fatalf("round %d: root confirmed %d merged reports, want %d", round, merged, n)
@@ -197,8 +190,10 @@ func TestCollectorTreeParityHTTP(t *testing.T) {
 }
 
 // TestMergeRejections pins the gate: merges are off by default (TCP frame
-// drops the connection, HTTP route does not exist), and a root rejects a
-// snapshot built for another protocol without applying anything.
+// drops the connection, HTTP route does not exist), and a root rejects,
+// without applying anything, an envelope whose snapshot was built for
+// another protocol and a body that is not an envelope at all — a raw LSS1
+// image included.
 func TestMergeRejections(t *testing.T) {
 	proto, err := parityFamilies[0].build()
 	if err != nil {
@@ -220,7 +215,9 @@ func TestMergeRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	encMismatched, err := persist.Append(nil, mismatched)
+	encMismatched, err := persist.AppendEnvelope(nil, &persist.Envelope{
+		Leaf: "rogue", Round: 0, Seq: 1, Snap: mismatched,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,13 +255,7 @@ func TestMergeRejections(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer up.Close()
-		badEnv, err := persist.AppendEnvelope(nil, &persist.Envelope{
-			Leaf: "rogue", Round: 0, Seq: 1, Snap: mismatched,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := up.Ship(badEnv); err == nil {
+		if _, _, err := up.Ship(encMismatched); err == nil {
 			t.Fatal("Ship of a mismatched snapshot succeeded, want dropped connection")
 		}
 
@@ -288,6 +279,57 @@ func TestMergeRejections(t *testing.T) {
 		}
 		if srv.mergeReports.Load() != 0 || rootStream.Pending() != 0 {
 			t.Fatal("rejected merges must not tally anything")
+		}
+	})
+
+	t.Run("raw-lss1", func(t *testing.T) {
+		// A well-formed snapshot image of the root's own protocol, sent
+		// without its envelope.
+		leaf := newTestStream(t, proto)
+		cl := proto.NewClient(2)
+		if err := leaf.Enroll(2, cl.WireRegistration()); err != nil {
+			t.Fatal(err)
+		}
+		if err := leaf.Ingest(2, cl.AppendReport(nil, 1)); err != nil {
+			t.Fatal(err)
+		}
+		_, snap, err := leaf.CloseRoundExport()
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, err := persist.Append(nil, snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		rootStream := newTestStream(t, proto)
+		srv := newTestServer(t, rootStream, Config{AcceptMerges: true})
+		conn := dialTCPServer(t, srv)
+		if _, err := conn.Write(AppendMergeFrame(nil, raw)); err != nil {
+			t.Fatal(err)
+		}
+		conn.Write(AppendFlushFrame(nil))
+		conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+		if _, err := ReadAck(conn); err == nil {
+			t.Fatal("raw LSS1 merge frame answered with an ack, want dropped connection")
+		}
+
+		ts := httptest.NewServer(srv.Handler())
+		defer ts.Close()
+		resp, err := http.Post(ts.URL+"/v1/merge", "application/octet-stream", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("raw LSS1 merge POST: status %d, want 400", resp.StatusCode)
+		}
+		st := getStatus(t, srv)
+		if st.Merge == nil || st.Merge.Rejected != 2 || st.Merge.Reports != 0 || st.Merge.Frames != 0 {
+			t.Fatalf("/v1/status merge = %+v, want 2 rejected and nothing merged", st.Merge)
+		}
+		if rootStream.Pending() != 0 {
+			t.Fatalf("raw LSS1 merges tallied %d reports", rootStream.Pending())
 		}
 	})
 }

@@ -21,7 +21,8 @@ import (
 //     merge payload — the leaf's per-round overhead beyond a plain
 //     CloseRound.
 //   - merge-round: the root's cost of one collection round fed by K
-//     leaves: decode K merge payloads, MergeRemote each, close the round.
+//     leaves: decode K merge envelopes, MergeEnvelope each, close the
+//     round.
 //
 // Families mirror BENCH_network.json: BiLOLOHA (widest tally vector of
 // the k-domain families) and dBitFlipPM (bucketed, b counts).
@@ -84,8 +85,9 @@ func BenchmarkMergeTree(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				// Re-arm the round with the seed tallies so every export
-				// carries a realistic count vector.
-				if _, err := leaf.MergeRemote(seed); err != nil {
+				// carries a realistic count vector. One goroutine, so no
+				// round barrier is needed around the import.
+				if _, err := leaf.importTallies(seed); err != nil {
 					b.Fatal(err)
 				}
 				_, snap, err := leaf.CloseRoundExport()
@@ -109,7 +111,8 @@ func BenchmarkMergeTree(b *testing.B) {
 						b.Fatal(err)
 					}
 					reports += res.Reports
-					if frames[i], err = persist.Append(nil, snap); err != nil {
+					env := &persist.Envelope{Leaf: fmt.Sprintf("leaf-%d", i), Round: res.Round, Seq: 1, Snap: snap}
+					if frames[i], err = persist.AppendEnvelope(nil, env); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -129,13 +132,16 @@ func BenchmarkMergeTree(b *testing.B) {
 					}
 					got := 0
 					for _, frame := range frames {
-						snap, err := persist.Decode(frame)
+						env, err := persist.DecodeEnvelope(frame)
 						if err != nil {
 							b.Fatal(err)
 						}
-						n, err := root.MergeRemote(snap)
-						if err != nil {
-							b.Fatal(err)
+						// Each round's envelope carries the leaf's next
+						// sequence number, as a live leaf ships it.
+						env.Seq = uint64(i + 1)
+						n, dup, err := root.MergeEnvelope(env)
+						if err != nil || dup {
+							b.Fatalf("merge: dup=%v err=%v", dup, err)
 						}
 						got += n
 					}

@@ -15,9 +15,9 @@ import (
 // per-shard (counts, n) integer tallies plus the registration tables, all
 // of which the persist codec serializes exactly — so a snapshot taken
 // mid-round and restored later ends the round bit-identically to an
-// uninterrupted run, and a root stream that MergeRemotes the exported
-// tallies of K leaves estimates bit-identically to a single stream that
-// ingested every report itself.
+// uninterrupted run, and a root stream that applies the merge envelopes
+// of K leaves (MergeEnvelope) estimates bit-identically to a single
+// stream that ingested every report itself.
 
 // ErrSnapshotMismatch reports a snapshot produced under a different
 // protocol configuration than the stream's: its spec hash disagrees. The
@@ -177,37 +177,15 @@ func (s *Stream) ResumeAfter(round int) int {
 		sh.tallied = 0
 		sh.reported.Reset()
 	}
-	if s.merge != nil {
-		s.merge.EndRound()
-	}
 	s.results = nil
 	s.baseRound = round + 1
 	return dropped
 }
 
-// MergeRemote adds a snapshot's tallies into the stream's open round —
-// the root half of the collector tree. Only tallies move: registration
-// sections, if present, stay with the producing leaf (the root never owns
-// a leaf's users). Returns the number of reports merged. A snapshot whose
-// spec hash disagrees with the stream's protocol is rejected whole with
-// ErrSnapshotMismatch, mirroring the columnar batch contract.
-func (s *Stream) MergeRemote(snap *persist.Snapshot) (int, error) {
-	if snap.SpecHash != s.specHash {
-		return 0, fmt.Errorf("server: snapshot spec hash %#016x, stream has %#016x: %w",
-			snap.SpecHash, s.specHash, ErrSnapshotMismatch)
-	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.importTallies(snap)
-}
-
-// importTallies adds snap's tallies into shard 0. Callers hold s.mu (any
-// mode) so the round cannot close mid-merge; the shard lock serializes
-// against concurrent ingestion.
+// importTallies adds snap's tallies into shard 0. The caller holds s.mu
+// exclusively, so no round closes and no report tallies mid-merge.
 func (s *Stream) importTallies(snap *persist.Snapshot) (int, error) {
 	sh := s.shards[0]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	merged := 0
 	for si := range snap.Shards {
 		src := &snap.Shards[si]
@@ -312,28 +290,17 @@ func (s *Stream) Ledger() []persist.LedgerEntry {
 // additionally returns the round's merged tallies as a one-shard,
 // tally-only snapshot — the leaf half of the collector tree: the leaf
 // publishes its local RoundResult (its partition's estimates) and ships
-// the snapshot to the root, whose MergeRemote recovers the global counts.
-// Every aggregator exports its tallies, so the error is always nil.
+// the snapshot, wrapped in a merge envelope, to the root, whose
+// MergeEnvelope recovers the global counts. Every aggregator exports its
+// tallies, so the error is always nil.
 func (s *Stream) CloseRoundExport() (RoundResult, *persist.Snapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	target := s.shards[0].agg
-	if s.merge != nil {
-		target = s.merge
-	}
 	round := s.baseRound + len(s.results)
-	// Merge the shard tallies into the round target first — exactly what
-	// closeRoundLocked does — so the export sees the full round; EndRound
-	// inside closeRoundLocked then finds the counts already merged, which
-	// is idempotent (merging moves counts, it does not copy them).
-	if s.merge != nil {
-		for _, sh := range s.shards {
-			s.merge.Merge(sh.agg)
-		}
-	}
+	s.mergeShardsLocked()
 	snap := &persist.Snapshot{SpecHash: s.specHash, Round: round, Shards: make([]persist.Shard, 1)}
-	snap.Shards[0].Counts, snap.Shards[0].N = target.ExportTally(nil)
-	res := s.closeRoundLocked(0)
+	snap.Shards[0].Counts, snap.Shards[0].N = s.merge.ExportTally(nil)
+	res := s.closeRoundLocked()
 	snap.Shards[0].Tallied = res.Reports
 	return res, snap, nil
 }

@@ -223,8 +223,8 @@ func TestRestoreRejections(t *testing.T) {
 
 // TestMergeTreeParity pins the collector-tree contract for every
 // registered family and shard count: K leaves each ingest a disjoint user
-// partition, export their rounds, and a root that MergeRemotes the K
-// snapshots publishes rounds bit-identical to a single stream that
+// partition, export their rounds, and a root that applies the K merge
+// envelopes publishes rounds bit-identical to a single stream that
 // ingested everything — for multiple consecutive rounds, so the leaves'
 // round reset is covered too.
 func TestMergeTreeParity(t *testing.T) {
@@ -284,20 +284,17 @@ func TestMergeTreeParity(t *testing.T) {
 						}
 						leafReports := 0
 						for i := range leaf {
-							res, snap, err := leaf[i].CloseRoundExport()
-							if err != nil {
-								t.Fatalf("leaf %d export: %v", i, err)
+							env, reports := exportEnvelope(t, leaf[i], fmt.Sprintf("leaf-%d", i), uint64(r+1))
+							if env.Round != r {
+								t.Fatalf("leaf %d published round %d, want %d", i, env.Round, r)
 							}
-							if res.Round != r {
-								t.Fatalf("leaf %d published round %d, want %d", i, res.Round, r)
+							leafReports += reports
+							merged, dup, err := root.MergeEnvelope(env)
+							if err != nil || dup {
+								t.Fatalf("root merge of leaf %d: dup=%v err=%v", i, dup, err)
 							}
-							leafReports += res.Reports
-							merged, err := root.MergeRemote(snap)
-							if err != nil {
-								t.Fatalf("root merge of leaf %d: %v", i, err)
-							}
-							if merged != res.Reports {
-								t.Fatalf("leaf %d merged %d reports, leaf tallied %d", i, merged, res.Reports)
+							if merged != reports {
+								t.Fatalf("leaf %d merged %d reports, leaf tallied %d", i, merged, reports)
 							}
 						}
 						want := single.CloseRound()
@@ -312,7 +309,10 @@ func TestMergeTreeParity(t *testing.T) {
 	}
 }
 
-// TestMergeRemoteMismatch pins whole-snapshot rejection at the root.
+// TestMergeRemoteMismatch pins whole-snapshot rejection at the root: a
+// leaf running a different protocol has its round refused, nothing is
+// merged, and the refusal does not advance that leaf's ledger, so the
+// same sequence number still applies once the leaf ships a matching round.
 func TestMergeRemoteMismatch(t *testing.T) {
 	protoA, err := core.NewBinary(16, 2, 1)
 	if err != nil {
@@ -334,11 +334,25 @@ func TestMergeRemoteMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := root.MergeRemote(snap); !errors.Is(err, ErrSnapshotMismatch) {
+	env := &persist.Envelope{Leaf: "leaf-0", Round: 0, Seq: 1, Snap: snap}
+	if _, _, err := root.MergeEnvelope(env); !errors.Is(err, ErrSnapshotMismatch) {
 		t.Fatalf("err = %v, want ErrSnapshotMismatch", err)
 	}
 	if root.Pending() != 0 {
 		t.Fatalf("%d reports merged from a mismatched snapshot", root.Pending())
+	}
+
+	good, err := NewStream(protoA, WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, snap, err = good.CloseRoundExport()
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Snap = snap
+	if _, dup, err := root.MergeEnvelope(env); err != nil || dup {
+		t.Fatalf("matching envelope after a refused one: dup=%v err=%v", dup, err)
 	}
 }
 

@@ -3,6 +3,7 @@ package server
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 
@@ -23,7 +24,8 @@ import (
 //     acquisition per shard per batch) or IngestColumnar (a decoded
 //     columnar batch, registration columns enrolling inline).
 //   - Simulation path: WithCohort attaches in-process clients and Collect
-//     drives a complete round from raw values.
+//     drives a complete round from raw values, each shard generating and
+//     tallying a contiguous block of the cohort on its own goroutine.
 //
 // Rounds are explicit: reports land in the current round until CloseRound
 // (or Collect), which publishes a RoundResult to the history and to every
@@ -50,8 +52,10 @@ type Stream struct {
 	// mu is the round barrier: CloseRound/Collect hold it exclusively;
 	// Enroll, Ingest and the published-history readers hold it shared
 	// (results and subscribers are only mutated under the exclusive lock).
-	mu     sync.RWMutex
-	merge  longitudinal.Aggregator // nil when single-shard
+	mu sync.RWMutex
+	// merge is the round target the shard tallies move into when the
+	// round closes; it is empty between rounds.
+	merge  longitudinal.Aggregator
 	shards []*streamShard
 
 	// scratch pools the batch paths' per-shard index lists so
@@ -79,9 +83,8 @@ type Stream struct {
 	// that never restored.
 	baseRound int
 
-	// Simulation cohort (nil unless WithCohort).
-	clients   []longitudinal.Client
-	collector *longitudinal.ShardedCollector
+	// Simulation cohort (nil unless WithCohort): client u is user u.
+	clients []longitudinal.Client
 }
 
 // streamShard owns the ingestion state of one stripe of users. Enrollment
@@ -97,7 +100,8 @@ type streamShard struct {
 	ids      []int          // slot → userID; append-only, like regs
 	regs     []Registration // slot → enrollment metadata
 	reported *bitset.Bitset // slot → reported this round
-	tallied  int
+	tallied  int            // reports this round, wire and cohort
+	buf      []byte         // the cohort's reusable payload buffer
 }
 
 // batchScratch is the batch paths' reusable working memory: the
@@ -150,9 +154,9 @@ type streamConfig struct {
 }
 
 // WithShards sets the ingestion stripe count and, when a cohort is
-// attached, the collection parallelism. 0 (the default) selects one shard
-// per available CPU; 1 fully serializes the service; negative counts are
-// rejected at construction.
+// attached, the collection parallelism (see CohortShards). 0 (the
+// default) selects one shard per available CPU; 1 fully serializes the
+// service; negative counts are rejected at construction.
 func WithShards(shards int) Option {
 	return func(c *streamConfig) { c.shards = shards; c.shardsSet = true }
 }
@@ -210,7 +214,7 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		return nil, fmt.Errorf("server: negative shard count %d", cfg.shards)
 	}
 	if !cfg.shardsSet || cfg.shards == 0 {
-		cfg.shards = longitudinal.DefaultShards()
+		cfg.shards = runtime.GOMAXPROCS(0)
 	}
 	if cfg.roundCap < 1 {
 		return nil, fmt.Errorf("server: round capacity must be at least 1, got %d", cfg.roundCap)
@@ -225,22 +229,15 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		specHash: proto.Spec().Hash(),
 		pp:       cfg.pp,
 		roundCap: cfg.roundCap,
-	}
-	agg := proto.NewAggregator()
-	if cfg.shards > 1 {
-		s.merge = agg
+		merge:    proto.NewAggregator(),
 	}
 	s.shards = make([]*streamShard, cfg.shards)
 	for i := range s.shards {
-		sh := &streamShard{
+		s.shards[i] = &streamShard{
 			slots:    make(map[int]int),
 			reported: bitset.New(0),
-			agg:      agg,
+			agg:      s.merge.Fork(),
 		}
-		if s.merge != nil {
-			sh.agg = agg.Fork()
-		}
-		s.shards[i] = sh
 	}
 	s.scratch.New = func() any {
 		return &batchScratch{perShard: make([][]int, len(s.shards))}
@@ -249,11 +246,11 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 	if cfg.hh != nil {
 		hhCfg := *cfg.hh
 		if hhCfg.K == 0 {
-			hhCfg.K = agg.EstimateDomain()
+			hhCfg.K = s.merge.EstimateDomain()
 		}
-		if hhCfg.K != agg.EstimateDomain() {
+		if hhCfg.K != s.merge.EstimateDomain() {
 			return nil, fmt.Errorf("server: heavy-hitter tracker over %d values, protocol estimates %d",
-				hhCfg.K, agg.EstimateDomain())
+				hhCfg.K, s.merge.EstimateDomain())
 		}
 		tracker, err := heavyhitter.New(hhCfg)
 		if err != nil {
@@ -267,9 +264,6 @@ func NewStream(proto longitudinal.Protocol, opts ...Option) (*Stream, error) {
 		for u := range s.clients {
 			s.clients[u] = proto.NewClient(randsrc.Derive(cfg.seed, uint64(u)))
 		}
-		// Cohort tallies land in the round's merge target so Collect and
-		// wire ingestion share rounds.
-		s.collector = longitudinal.NewShardedCollector(agg, s.tallier, cfg.cohortN, cfg.shards)
 	}
 	return s, nil
 }
@@ -542,7 +536,10 @@ func (s *Stream) tallyColumn(sh *streamShard, idxs []int, batch *longitudinal.Co
 // Collect runs one complete collection round for the attached cohort:
 // values[u] is client u's current value. Every client reports, the round
 // is closed, and its RoundResult returned — wire reports ingested since
-// the previous round share the same result. Requires WithCohort.
+// the previous round share the same result. Requires WithCohort. Every
+// value is checked against the protocol's domain first: a round with an
+// out-of-range value returns an error with no client reported and the
+// open round untouched.
 func (s *Stream) Collect(values []int) (RoundResult, error) {
 	if s.clients == nil {
 		return RoundResult{}, fmt.Errorf("server: no cohort attached (use WithCohort)")
@@ -550,27 +547,76 @@ func (s *Stream) Collect(values []int) (RoundResult, error) {
 	if len(values) != len(s.clients) {
 		return RoundResult{}, fmt.Errorf("server: got %d values for %d users", len(values), len(s.clients))
 	}
+	k := s.proto.K()
+	for u, v := range values {
+		if v < 0 || v >= k {
+			return RoundResult{}, fmt.Errorf("server: user %d value %d outside [0,%d)", u, v, k)
+		}
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.collector.Tally(s.clients, values); err != nil {
-		return RoundResult{}, err
+	s.collectLocked(values)
+	return s.closeRoundLocked(), nil
+}
+
+// collectLocked has each of the CohortShards shards generate and tally
+// its contiguous block of the cohort on its own aggregator, one goroutine
+// per shard (inline for one). Users keep their shard across rounds, so
+// per-user tally caches stay warm. A panic in a shard (a protocol bug:
+// the values were checked) is re-raised on the caller's stack. Caller
+// holds s.mu exclusively, which keeps ingestion off the shards.
+func (s *Stream) collectLocked(values []int) {
+	n, c := len(s.clients), s.CohortShards()
+	if c == 1 {
+		s.collectRange(s.shards[0], values, 0, n)
+		return
 	}
-	return s.closeRoundLocked(len(s.clients)), nil
+	panics := make([]any, c)
+	var wg sync.WaitGroup
+	for i := range c {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer func() { panics[i] = recover() }()
+			s.collectRange(s.shards[i], values, i*n/c, (i+1)*n/c)
+		}()
+	}
+	wg.Wait()
+	for _, p := range panics {
+		if p != nil {
+			panic(p)
+		}
+	}
+}
+
+// collectRange has cohort users [lo..hi) report their values into the
+// shard's payload buffer and tallies each payload in place — the same
+// allocation-free generate→tally round trip as wire ingestion.
+//
+//loloha:noalloc
+func (s *Stream) collectRange(sh *streamShard, values []int, lo, hi int) {
+	buf := sh.buf
+	for u := lo; u < hi; u++ {
+		cl := s.clients[u]
+		buf = cl.AppendReport(buf[:0], values[u])
+		if err := longitudinal.TallyPayload(s.tallier, sh.agg, u, buf, cl.WireRegistration()); err != nil {
+			// A payload the protocol's own client just emitted cannot be
+			// malformed: this is a protocol implementation bug.
+			panic(fmt.Sprintf("server: collection rejected its own report: %v", err))
+		}
+	}
+	// Written once, not per report: shards sit side by side in memory.
+	sh.tallied += hi - lo
+	sh.buf = buf
 }
 
 // CohortSize returns the number of attached simulation clients (0 without
 // WithCohort).
 func (s *Stream) CohortSize() int { return len(s.clients) }
 
-// CohortShards returns the cohort's effective collection parallelism (0
-// without WithCohort). It can be lower than Shards: collection partitions
-// users contiguously and clamps to the cohort size.
-func (s *Stream) CohortShards() int {
-	if s.collector == nil {
-		return 0
-	}
-	return s.collector.Shards()
-}
+// CohortShards returns the cohort's collection parallelism: the shard
+// count clamped to the cohort size (0 without WithCohort).
+func (s *Stream) CohortShards() int { return min(len(s.shards), len(s.clients)) }
 
 // PrivacySpent returns each attached client's longitudinal privacy loss ε̌
 // so far (nil without WithCohort).
@@ -611,23 +657,24 @@ func (s *Stream) MaxPrivacySpent() float64 {
 func (s *Stream) CloseRound() RoundResult {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closeRoundLocked(0)
+	return s.closeRoundLocked()
+}
+
+// mergeShardsLocked moves every shard's round tallies into s.merge.
+// Merging moves counts, so running it twice is harmless. Caller holds
+// s.mu exclusively.
+func (s *Stream) mergeShardsLocked() {
+	for _, sh := range s.shards {
+		s.merge.Merge(sh.agg)
+	}
 }
 
 // closeRoundLocked merges shard tallies, estimates, post-processes and
-// publishes. extraReports counts reports tallied outside the shard maps
-// (the cohort path). Caller holds s.mu exclusively.
-func (s *Stream) closeRoundLocked(extraReports int) RoundResult {
-	var raw []float64
-	if s.merge != nil {
-		for _, sh := range s.shards {
-			s.merge.Merge(sh.agg)
-		}
-		raw = s.merge.EndRound()
-	} else {
-		raw = s.shards[0].agg.EndRound()
-	}
-	reports := extraReports
+// publishes. Caller holds s.mu exclusively.
+func (s *Stream) closeRoundLocked() RoundResult {
+	s.mergeShardsLocked()
+	raw := s.merge.EndRound()
+	reports := 0
 	for _, sh := range s.shards {
 		reports += sh.tallied
 		sh.tallied = 0

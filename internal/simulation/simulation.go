@@ -24,6 +24,7 @@ import (
 	"github.com/loloha-ldp/loloha/internal/longitudinal"
 	"github.com/loloha-ldp/loloha/internal/postprocess"
 	"github.com/loloha-ldp/loloha/internal/randsrc"
+	"github.com/loloha-ldp/loloha/internal/server"
 )
 
 // Spec names a protocol of the experiment grid. It is declarative: Proto is
@@ -141,12 +142,12 @@ type Config struct {
 	Seed uint64
 	// Workers bounds concurrent cells; 0 means GOMAXPROCS.
 	Workers int
-	// Shards is the intra-collection parallelism: each round's client
-	// reports are sharded over this many goroutines with per-shard
-	// aggregator forks (see longitudinal.ShardedCollector). 0 or 1 keeps
-	// rounds serial, which is usually right when the grid itself saturates
-	// the CPUs; estimates are bit-identical either way. Negative counts
-	// are rejected by validate.
+	// Shards is the intra-collection parallelism: each round's cohort is
+	// collected on a server.Stream with this many shards, each reporting
+	// and tallying a contiguous block of users on its own goroutine (see
+	// server.Stream.Collect). 0 or 1 keeps rounds serial, which is usually
+	// right when the grid itself saturates the CPUs; estimates are
+	// bit-identical either way. Negative counts are rejected by validate.
 	Shards int
 	// PostProcess transforms each round's estimates before scoring MSE
 	// (extension; the paper's setting is postprocess.None).
@@ -215,27 +216,18 @@ func RunMSE(ds *datasets.Dataset, specs []Spec, cfg Config) ([]Point, error) {
 // mseRun executes one full τ-round collection and returns MSE_avg.
 func mseRun(ds *datasets.Dataset, truth [][]float64, proto longitudinal.Protocol, seed uint64,
 	pp postprocess.Method, shards int) float64 {
-	n, tau := ds.N(), ds.Tau()
-	clients := make([]longitudinal.Client, n)
-	for u := range clients {
-		clients[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
-	}
-	collector := newCollector(proto, n, shards)
+	stream := newCohortStream(proto, ds.N(), seed, shards, server.WithPostProcess(pp))
 
 	// Bucket-domain protocols score against folded truth.
 	fold := func(f []float64) []float64 { return f }
-	if d, ok := proto.(*longitudinal.DBitFlipPM); ok && collector.Aggregator().EstimateDomain() != ds.K {
-		z := d.Bucketizer()
-		fold = z.FoldFrequencies
+	if d, ok := proto.(*longitudinal.DBitFlipPM); ok && d.B() != ds.K {
+		fold = d.Bucketizer().FoldFrequencies
 	}
 
+	tau := ds.Tau()
 	total := 0.0
 	for t := 0; t < tau; t++ {
-		raw, err := collector.Collect(clients, ds.Round(t))
-		if err != nil {
-			panic(err) // impossible: clients and rounds share the dataset's n
-		}
-		est := postprocess.Apply(pp, raw)
+		est := collect(stream, ds.Round(t)).Estimates
 		ft := fold(truth[t])
 		sum := 0.0
 		for v := range est {
@@ -247,12 +239,27 @@ func mseRun(ds *datasets.Dataset, truth [][]float64, proto longitudinal.Protocol
 	return total / float64(tau)
 }
 
-// newCollector builds the per-run collection engine, routed through the
-// protocol's allocation-free wire path (AppendReport + TallyCell): the
-// grid's millions of simulated reports generate and tally without a
-// bitset or wire-buffer allocation per report.
-func newCollector(proto longitudinal.Protocol, n, shards int) *longitudinal.ShardedCollector {
-	return longitudinal.NewShardedCollector(proto.NewAggregator(), proto.WireTallier(), n, shards)
+// newCohortStream returns a stream with n attached clients, client u
+// seeded randsrc.Derive(seed, u), whose rounds collect on
+// max(shards, 1) shards through the protocol's allocation-free wire path
+// (AppendReport + TallyCell): the grid's millions of simulated reports
+// generate and tally without a wire-buffer allocation per report.
+func newCohortStream(proto longitudinal.Protocol, n int, seed uint64, shards int, opts ...server.Option) *server.Stream {
+	opts = append(opts, server.WithCohort(n, seed), server.WithShards(max(shards, 1)))
+	stream, err := server.NewStream(proto, opts...)
+	if err != nil {
+		panic(err) // impossible: a dataset has users and shards is at least 1
+	}
+	return stream
+}
+
+// collect runs one cohort round of values.
+func collect(stream *server.Stream, values []int) server.RoundResult {
+	res, err := stream.Collect(values)
+	if err != nil {
+		panic(err) // impossible: dataset rounds hold n in-domain values
+	}
+	return res
 }
 
 // ---------------------------------------------------------------------------
@@ -431,22 +438,13 @@ func Replay(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64) [][]
 	return ReplaySharded(ds, proto, seed, 1)
 }
 
-// ReplaySharded is Replay with the per-round client loop sharded over the
-// given number of goroutines; estimates are bit-identical to Replay.
+// ReplaySharded is Replay with each round's cohort collected on the
+// given number of shards; estimates are bit-identical to Replay.
 func ReplaySharded(ds *datasets.Dataset, proto longitudinal.Protocol, seed uint64, shards int) [][]float64 {
-	n, tau := ds.N(), ds.Tau()
-	clients := make([]longitudinal.Client, n)
-	for u := range clients {
-		clients[u] = proto.NewClient(randsrc.Derive(seed, uint64(u)))
-	}
-	collector := newCollector(proto, n, shards)
-	out := make([][]float64, tau)
-	for t := 0; t < tau; t++ {
-		est, err := collector.Collect(clients, ds.Round(t))
-		if err != nil {
-			panic(err) // impossible: clients and rounds share the dataset's n
-		}
-		out[t] = est
+	stream := newCohortStream(proto, ds.N(), seed, shards)
+	out := make([][]float64, ds.Tau())
+	for t := range out {
+		out[t] = collect(stream, ds.Round(t)).Raw
 	}
 	return out
 }

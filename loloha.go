@@ -39,22 +39,27 @@ import (
 // internal/longitudinal for the contract.
 type Client = longitudinal.Client
 
-// Aggregator is the server side of a longitudinal protocol.
+// Aggregator is the server side of a longitudinal protocol: a Round, or
+// a type that embeds one.
 type Aggregator = longitudinal.Aggregator
 
 // Tally is an aggregator's open-round state — support counts plus the
-// report count N — with the ExportTally/ImportTally, merge (Absorb) and
-// Reset bodies every aggregator in this repository shares. An external
-// aggregator embeds the value NewTally(k) returns, adds each report's
-// support with AddIndex (one position) or AddRow (a packed 0/1 row over
-// all k positions), increments N, and reads the counts back with Counts()
-// when it estimates. Embedding it gives the aggregator ExportTally and
-// ImportTally, the snapshot half of the Aggregator contract.
+// report count N — with the ExportTally/ImportTally, Absorb and Reset
+// bodies every aggregator shares. A tallier adds each report's support
+// with AddIndex (one position) or AddRow (a packed 0/1 row over all k
+// positions) and increments N.
 type Tally = longitudinal.Tally
 
-// NewTally returns the empty round state of a k-position tally, the value
-// an aggregator embedding Tally starts from.
-func NewTally(k int) Tally { return longitudinal.NewTally(k) }
+// Round is the one Aggregator implementation: a Tally plus the protocol
+// whose Estimate turns its counts into frequencies. An external protocol
+// returns NewRound(p, k) from NewAggregator — or a type embedding the
+// Round, when its tallier needs scratch state — and its tallier
+// type-asserts the aggregator back to that type.
+type Round = longitudinal.Round
+
+// NewRound returns the empty round of one of proto's aggregators over a
+// tally of k positions.
+func NewRound(proto Protocol, k int) *Round { return longitudinal.NewRound(proto, k) }
 
 // Protocol binds clients and aggregators together.
 type Protocol = longitudinal.Protocol
